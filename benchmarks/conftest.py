@@ -89,7 +89,8 @@ def _measure_parallel() -> dict:
     """Time serial vs pooled DSE and cold vs warm cached synthesis.
 
     The DSE numbers depend on host core count (recorded alongside); the
-    cache numbers compare a full flow run against a pickle-bytes hit.
+    cache numbers compare a full flow run against a hit that serves the
+    stored ``.mdl`` text (the object graph stays pickled).
     """
     from repro.apps import crane, synthetic
     from repro.core import TaskGraph, synthesize

@@ -2,8 +2,8 @@
 
 The zoo generator emits a fixed-seed corpus of full UML scenarios across
 all families; this benchmark pushes every one through ``synthesize()``
-twice — cold (cache disabled) and warm (content-addressed cache primed) —
-and reports models/sec for both.  The numbers land in the ``"zoo"``
+cold (cache disabled) and then warm (content-addressed cache primed),
+back to back per model, and reports models/sec for both.  The numbers land in the ``"zoo"``
 section of ``BENCH_obs.json`` (written by ``pytest_sessionfinish``), so
 the ROADMAP bench trajectory can track whole-flow throughput across PRs
 on an identical workload (pinned by the corpus digest).
@@ -40,7 +40,7 @@ def test_synthesize_the_zoo(zoo_bench, paper_report):
                 f"{stats['models_per_sec_warm']:.0f} models/s",
             ),
             ("warm hit rate", "100%", f"{stats['warm_hit_rate']:.0%}"),
-            ("cache speedup", ">=1x", f"{stats['cache_speedup']:.2f}x"),
+            ("cache speedup", ">=4x", f"{stats['cache_speedup']:.2f}x"),
             ("corpus digest", "pinned", stats["corpus_digest"][:12]),
         ],
     )

@@ -46,7 +46,9 @@ class SimulinkBackend:
             behaviors=self.behaviors,
         )
         self.last_result = result
+        # Take the memoized .mdl before reading the graph ends the memo.
+        mdl_text = result.mdl_text
         return {
-            f"{result.caam.name}.mdl": result.mdl_text,
+            f"{result.caam.name}.mdl": mdl_text,
             f"{result.caam.name}.caam.xml": result.intermediate_xml,
         }

@@ -19,8 +19,9 @@ live in :mod:`repro.backends` and reuse steps 1–3 of this flow.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+import pickle
+import zlib
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from ..obs import recorder as _obs
 from ..obs.report import ObservabilityReport
@@ -85,37 +86,132 @@ def is_transient(exc: BaseException) -> bool:
     return isinstance(exc, _TRANSIENT_TYPES)
 
 
-@dataclass
-class SynthesisResult:
-    """Everything produced by one run of the flow."""
+class _Graph(NamedTuple):
+    """The object graph of a result, stored and pickled as one unit."""
 
     caam: CaamModel
     plan: DeploymentPlan
     mapping: MappingResult
     optimization: OptimizationReport
-    allocation: Optional[AllocationResult] = None
-    #: Intermediate artifact of step 2 (E-core XML, pre-optimization).
-    intermediate_xml: str = ""
-    #: Per-run observability data: census always, spans/metrics when a
-    #: recorder was active (see :mod:`repro.obs`).
-    obs: ObservabilityReport = field(default_factory=ObservabilityReport)
+    allocation: Optional[AllocationResult]
+    intermediate_xml: str
+
+
+def _graph_field(name: str, doc: str) -> property:
+    """A graph attribute whose first read ends the ``.mdl`` memo."""
+
+    def read(self: "SynthesisResult") -> object:
+        graph = self._live_graph()
+        self._mdl = None
+        self._graph_read = True  # the caller may now mutate the graph
+        return getattr(graph, name)
+
+    return property(read, doc=doc)
+
+
+class SynthesisResult:
+    """Everything produced by one run of the flow.
+
+    The ``.mdl`` artifact is rendered at most once and memoized until a
+    caller first reads the object graph (``caam``, ``plan``, ``mapping``,
+    ``optimization``, ``allocation``).  From then on the caller may have
+    mutated it, so ``mdl_text`` renders afresh on every access and always
+    equals ``to_mdl(caam)``.
+
+    A synthesis-cache hit is built from the stored entry: the ``.mdl``
+    text, the obs report and the pickled graph.  The graph is unpickled on
+    first access only, which makes it a fresh copy no other hit shares.
+    """
+
+    def __init__(
+        self,
+        caam: CaamModel,
+        plan: DeploymentPlan,
+        mapping: MappingResult,
+        optimization: OptimizationReport,
+        allocation: Optional[AllocationResult] = None,
+        intermediate_xml: str = "",
+        obs: Optional[ObservabilityReport] = None,
+    ) -> None:
+        self._graph: Optional[_Graph] = _Graph(
+            caam, plan, mapping, optimization, allocation, intermediate_xml
+        )
+        self._graph_blob: Optional[bytes] = None
+        self._mdl: Optional[str] = None
+        self._graph_read = False
+        #: Per-run observability data: census always, spans/metrics when a
+        #: recorder was active (see :mod:`repro.obs`).
+        self.obs = obs if obs is not None else ObservabilityReport()
+
+    @classmethod
+    def _from_cache_entry(
+        cls, mdl_text: str, obs: ObservabilityReport, graph_blob: bytes
+    ) -> "SynthesisResult":
+        result = cls.__new__(cls)
+        result._graph = None
+        result._graph_blob = graph_blob
+        result._mdl = mdl_text
+        result._graph_read = False
+        result.obs = obs
+        return result
+
+    def _cache_entry(self) -> Tuple[str, ObservabilityReport, bytes]:
+        """``(mdl text, obs report, pickled graph)`` for the cache.
+
+        The stored report keeps only the census: spans, metrics and SLO
+        figures describe one run, and a hit reports its own.
+        """
+        return (
+            self.mdl_text,
+            ObservabilityReport(census=self.obs.census),
+            zlib.compress(
+                pickle.dumps(self._live_graph(), protocol=pickle.HIGHEST_PROTOCOL),
+                1,
+            ),
+        )
+
+    def _live_graph(self) -> _Graph:
+        if self._graph is None:
+            self._graph = pickle.loads(zlib.decompress(self._graph_blob))
+            self._graph_blob = None
+        return self._graph
+
+    caam = _graph_field("caam", "The synthesized Simulink CAAM.")
+    plan = _graph_field("plan", "The thread→CPU allocation the flow used.")
+    mapping = _graph_field("mapping", "The model-to-model transformation.")
+    optimization = _graph_field(
+        "optimization", "Channel-inference and barrier-insertion report."
+    )
+    allocation = _graph_field(
+        "allocation", "The §4.2.3 clustering result, when it chose the plan."
+    )
+
+    @property
+    def intermediate_xml(self) -> str:
+        """Intermediate artifact of step 2 (E-core XML, pre-optimization)."""
+        return self._live_graph().intermediate_xml
 
     @property
     def mdl_text(self) -> str:
         """The final ``.mdl`` artifact (step 4)."""
-        return to_mdl(self.caam)
+        if self._mdl is not None:
+            return self._mdl
+        text = to_mdl(self._live_graph().caam)
+        if not self._graph_read:
+            self._mdl = text
+        return text
 
     @property
     def summary(self) -> CaamSummary:
-        return self.caam.summary()
+        return self._live_graph().caam.summary()
 
     @property
     def warnings(self) -> List[str]:
-        return list(self.mapping.warnings)
+        return list(self._live_graph().mapping.warnings)
 
     @property
     def barriers_inserted(self) -> int:
-        barriers = self.optimization.barriers
+        barriers = self._live_graph().optimization.barriers
         return barriers.count if barriers is not None else 0
 
     def write_mdl(self, path: str) -> None:
@@ -130,8 +226,9 @@ class SynthesisResult:
         and the Simulink element it produced — the MDE audit trail the
         paper's QVT/ATL tooling would provide.
         """
-        lines = [f"mapping report for {self.caam.name!r}"]
-        for link in self.mapping.context.trace.links():
+        graph = self._live_graph()
+        lines = [f"mapping report for {graph.caam.name!r}"]
+        for link in graph.mapping.context.trace.links():
             source = getattr(link.source, "qualified_name", "") or getattr(
                 link.source, "name", ""
             ) or repr(link.source)
@@ -144,7 +241,7 @@ class SynthesisResult:
                 link.target, "name", repr(link.target)
             )
             lines.append(f"  [{link.rule:<20}] {source} -> {target}")
-        lines.append(f"  ({len(self.mapping.context.trace)} trace links)")
+        lines.append(f"  ({len(graph.mapping.context.trace)} trace links)")
         return "\n".join(lines)
 
 
@@ -217,9 +314,10 @@ def synthesize(
         ``True``/``False`` override the process-wide synthesis-cache
         configuration (:func:`repro.parallel.configure_synthesis_cache`,
         ``REPRO_CACHE_DIR``, CLI ``--cache-dir``/``--no-cache``) for this
-        call; ``None`` defers to it.  A hit short-circuits the whole flow
-        and returns a fresh copy of the cached result — byte-identical
-        ``mdl_text`` and mapping report, see ``docs/parallel.md``.  Runs
+        call; ``None`` defers to it.  A hit short-circuits the whole flow:
+        it serves the stored ``.mdl`` text and unpickles a fresh copy of
+        the object graph on first access — byte-identical ``mdl_text`` and
+        mapping report, see ``docs/parallel.md``.  Runs
         with ``behaviors`` bypass the cache (callables are not
         content-addressable).
     """
@@ -232,40 +330,48 @@ def synthesize(
         cache = _syn_cache.force_synthesis_cache()
     else:
         cache = _syn_cache.synthesis_cache()
-    cache_key: Optional[str] = None
     parallel_info: Dict[str, object] = {}
+    cache_key: Optional[str] = None
+    span_start = len(rec.spans)
     if cache is not None and behaviors is None:
-        cache_key = synthesis_cache_key(
-            model,
-            plan,
-            {
-                "auto_allocate": auto_allocate,
-                "infer_channels": infer_channels,
-                "insert_barriers": insert_barriers,
-                "layout": layout,
-                "validate": validate,
-                "strict": strict,
-                "name": name,
-            },
-        )
-        cached = cache.get(cache_key)
-        if cached is not None:
-            cached.obs.parallel = dict(cached.obs.parallel)
-            cached.obs.parallel["cache"] = {
-                "status": "hit",
+        with rec.span("flow.cache", category="flow") as span:
+            cache_key = synthesis_cache_key(
+                model,
+                plan,
+                {
+                    "auto_allocate": auto_allocate,
+                    "infer_channels": infer_channels,
+                    "insert_barriers": insert_barriers,
+                    "layout": layout,
+                    "validate": validate,
+                    "strict": strict,
+                    "name": name,
+                },
+            )
+            entry = cache.get(cache_key, accept=_is_cache_entry)
+            verdict = {
+                "status": "miss" if entry is None else "hit",
                 "key": cache_key[:16],
             }
+            span.set(**verdict)
+        parallel_info["cache"] = verdict
+        if entry is not None:
+            mdl_text, report, graph_blob = entry
             log.info(
                 "synthesis cache hit for %r (key %s)",
                 model.name,
                 cache_key[:16],
             )
-            return cached
-        parallel_info["cache"] = {"status": "miss", "key": cache_key[:16]}
+            return SynthesisResult._from_cache_entry(
+                mdl_text,
+                _finish_report(rec, span_start, report, parallel_info),
+                graph_blob,
+            )
     elif cache is not None:
         parallel_info["cache"] = {"status": "bypass", "reason": "behaviors"}
+        with rec.span("flow.cache", category="flow") as span:
+            span.set(**parallel_info["cache"])
 
-    span_start = len(rec.spans)
     with rec.span(
         "flow.synthesize", category="flow", model=model.name
     ) as root:
@@ -309,40 +415,57 @@ def synthesize(
         optimization=optimization,
         allocation=allocation,
         intermediate_xml=intermediate,
-        obs=_build_report(
-            rec, span_start, mapping, optimization, resolved_plan,
-            parallel=parallel_info,
+        obs=_finish_report(
+            rec,
+            span_start,
+            ObservabilityReport(
+                census=_census(mapping, optimization, resolved_plan)
+            ),
+            parallel_info,
         ),
     )
-    if cache is not None and cache_key is not None:
-        cache.put(cache_key, result)
+    if cache_key is not None:
+        # Renders the .mdl once; the entry and the result share the text.
+        try:
+            entry = result._cache_entry()
+        except Exception:  # noqa: BLE001 - caching never fails a run
+            log.debug("synthesis result not cacheable", exc_info=True)
+            rec.incr(f"cache.{cache.name}.unpicklable")
+        else:
+            cache.put(cache_key, entry)
     log.info(
         "synthesized %r: %d blocks on %d CPU(s), %d barrier(s)",
-        result.caam.name,
-        result.caam.count_blocks(),
+        mapping.caam.name,
+        result.obs.census["blocks"],
         len(resolved_plan.cpus),
-        result.barriers_inserted,
+        result.obs.census["barriers_inserted"],
     )
     return result
 
 
-def _build_report(
-    rec: "_obs.AnyRecorder",
-    span_start: int,
+def _is_cache_entry(value: object) -> bool:
+    """Whether a cached value has the ``(mdl, report, graph)`` layout."""
+    return (
+        isinstance(value, tuple)
+        and len(value) == 3
+        and isinstance(value[0], str)
+        and isinstance(value[1], ObservabilityReport)
+        and isinstance(value[2], bytes)
+    )
+
+
+def _census(
     mapping: MappingResult,
     optimization: OptimizationReport,
     plan: DeploymentPlan,
-    parallel: Optional[Dict[str, object]] = None,
-) -> ObservabilityReport:
-    """Assemble the run's :class:`ObservabilityReport`.
+) -> Dict[str, object]:
+    """Structural counts from artifacts the flow built anyway.
 
-    The census is computed from artifacts the flow built anyway, so it is
-    populated even with the null recorder; spans and the metrics snapshot
-    are included only when a live recorder captured them.
+    Populated even with the null recorder, and stored in cache entries.
     """
     channels = optimization.channels
     barriers = optimization.barriers
-    census = {
+    return {
         "model": mapping.caam.name,
         "cpus": len(plan.cpus),
         "blocks": mapping.caam.count_blocks(),
@@ -356,22 +479,31 @@ def _build_report(
         "barriers_inserted": barriers.count if barriers else 0,
         "warnings": len(mapping.warnings),
     }
+
+
+def _finish_report(
+    rec: "_obs.AnyRecorder",
+    span_start: int,
+    report: ObservabilityReport,
+    parallel: Dict[str, object],
+) -> ObservabilityReport:
+    """Complete a census-only report with this run's data.
+
+    ``parallel`` (the cache verdict) is always filled; spans and the
+    metrics snapshot only when a live recorder captured them.
+    """
+    report.parallel = dict(parallel)
     if not rec.enabled:
-        return ObservabilityReport(census=census, parallel=dict(parallel or {}))
+        return report
     # A recorder carrying an SLO engine (repro --slo-config, or one set
     # programmatically) gets the run's targets evaluated into the report;
     # publish=True lands the slo.* gauges in the snapshot taken below.
-    slo_doc: Dict[str, object] = {}
     engine = getattr(rec, "slo_engine", None)
     if engine is not None:
-        slo_doc = engine.evaluate(rec.metrics, publish=True)
-    return ObservabilityReport(
-        census=census,
-        spans=[s for s in rec.spans[span_start:] if s.end_wall is not None],
-        metrics=rec.metrics.to_dict(),
-        parallel=dict(parallel or {}),
-        slo=slo_doc,
-    )
+        report.slo = engine.evaluate(rec.metrics, publish=True)
+    report.spans = [s for s in rec.spans[span_start:] if s.end_wall is not None]
+    report.metrics = rec.metrics.to_dict()
+    return report
 
 
 def synthesize_to_mdl(model: Model, path: str, **kwargs: object) -> SynthesisResult:

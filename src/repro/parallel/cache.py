@@ -9,7 +9,10 @@ bytes are persisted as ``<key>.pkl`` files, so warm state survives the
 process and can be shared between runs (``repro --cache-dir``).
 
 The process-wide *synthesis cache* consulted by
-:func:`repro.core.flow.synthesize` lives here too.  It is **opt-in**:
+:func:`repro.core.flow.synthesize` lives here too; its entries are
+``(mdl text, obs report, pickled graph)`` tuples, so a hit serves the
+stored artifact and the graph is unpickled only if a caller reads it.
+It is **opt-in**:
 disabled until :func:`configure` enables it, ``REPRO_CACHE=1`` /
 ``REPRO_CACHE_DIR`` is set in the environment, or the CLI is given
 ``--cache-dir``.  ``REPRO_NO_CACHE=1`` (and ``--no-cache``) force it off.
@@ -26,7 +29,7 @@ import os
 import pickle
 import tempfile
 from collections import OrderedDict
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..obs import recorder as _obs
 
@@ -70,25 +73,36 @@ class ContentCache:
         _obs.get().gauge(f"cache.{self.name}.entries", len(self._entries))
 
     # -- API ---------------------------------------------------------------
-    def get(self, key: str) -> Optional[Any]:
+    def get(
+        self, key: str, accept: Optional[Callable[[Any], bool]] = None
+    ) -> Optional[Any]:
         """The value stored under ``key`` (a fresh copy), or ``None``.
 
         Memory is consulted first, then the disk store; a disk hit is
-        promoted into memory.  Unreadable disk entries count as misses.
+        promoted into memory.  A disk entry that cannot be read or
+        decoded, and a value ``accept`` rejects (an entry of another
+        layout), count as misses.
         """
         blob = self._entries.get(key)
         if blob is not None:
-            self._entries.move_to_end(key)
-            self._metric("hit")
-            return pickle.loads(blob)
-        if self.directory:
+            value = pickle.loads(blob)
+            if accept is None or accept(value):
+                self._entries.move_to_end(key)
+                self._metric("hit")
+                return value
+            del self._entries[key]
+        elif self.directory:
             try:
                 with open(self._path(key), "rb") as handle:
                     blob = handle.read()
-                value = pickle.loads(blob)
-            except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
+            except OSError:
                 blob = None
             if blob is not None:
+                try:
+                    value = pickle.loads(blob)
+                except Exception:  # foreign bytes raise almost anything
+                    blob = None
+            if blob is not None and (accept is None or accept(value)):
                 self._remember(key, blob)
                 self._metric("hit_disk")
                 return value

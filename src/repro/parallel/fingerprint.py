@@ -32,8 +32,9 @@ from ..uml.xmi import _Writer
 
 #: Bumping the schema version invalidates every previously stored entry —
 #: do so whenever the synthesis flow changes what it produces for the same
-#: inputs (new optimization pass, changed MDL emission, ...).
-SCHEMA_VERSION = "1"
+#: inputs (new optimization pass, changed MDL emission, ...) or the layout
+#: of a synthesis-cache entry.  "2": entries are ``(mdl, report, graph)``.
+SCHEMA_VERSION = "2"
 
 
 def digest(*parts: str) -> str:

@@ -72,6 +72,8 @@ def _run_synthesize(
 ) -> JobOutcome:
     result = synthesize(model, **spec.options)
     _checkpoint(cancelled)
+    # Take the memoized .mdl before reading the graph ends the memo.
+    mdl_text = result.mdl_text
     payload: Dict[str, Any] = {
         "model": result.caam.name,
         "summary": str(result.summary),
@@ -85,7 +87,7 @@ def _run_synthesize(
         payload["cache"] = cache_info
     return JobOutcome(
         artifact_name=f"{result.caam.name}.mdl",
-        artifact_text=result.mdl_text,
+        artifact_text=mdl_text,
         payload=payload,
     )
 

@@ -3,8 +3,8 @@
 One shared implementation feeds both ``repro zoo bench`` and the
 ``"zoo"`` section of ``BENCH_obs.json`` (benchmarks/conftest.py), so the
 CLI and CI report the same numbers: models/sec through the full
-map → optimize → mdl flow, cold (cache off) and warm (second pass over
-a populated content-addressed cache).
+map → optimize → mdl flow, cold (cache off) and warm (passes over a
+populated content-addressed cache), each the fastest of a few passes.
 """
 
 from __future__ import annotations
@@ -17,6 +17,10 @@ from ..parallel import cache
 from .generator import FAMILIES, Scenario, generate_corpus
 
 
+#: Timed passes over the corpus; the fastest pass per mode counts.
+PASSES = 3
+
+
 def measure_zoo(
     seed: int,
     count: int,
@@ -27,43 +31,50 @@ def measure_zoo(
     Generation is excluded from the timings (it is the workload's setup,
     not the flow under measurement), and synthesis runs *without*
     behaviors — attaching callables bypasses the content-addressed cache
-    by design, and the structural flow is what's being measured.  The
-    warm pass must be 100% cache hits and byte-identical to the cold
-    artifacts; both facts are recorded so the benchmark validator can
-    gate on them.
+    by design, and the structural flow is what's being measured.
+
+    Each model is synthesized cold (cache off) and then warm (a hit on a
+    populated cache) back to back, so a change in host speed slows both
+    modes alike and leaves ``cache_speedup`` (which
+    ``tools/validate_trace.py`` gates on) steady.  Of :data:`PASSES`
+    passes the fastest per mode counts.  The warm calls must be 100%
+    cache hits and byte-identical to the cold artifacts; both facts are
+    recorded so the benchmark validator can gate on them.
     """
     scenarios: List[Scenario] = list(generate_corpus(seed, count, families))
+    cold_s = warm_s = float("inf")
+    hits = 0
+    identical = True
     state = cache.snapshot()
     try:
+        # use_cache pins each call's mode; the process-wide switch stays off.
         cache.configure(enabled=False)
-        start = time.perf_counter()
-        cold_mdls = [
-            synthesize(
-                scenario.model,
-                auto_allocate=scenario.params.auto_allocate,
-            ).mdl_text
-            for scenario in scenarios
-        ]
-        cold_s = time.perf_counter() - start
-
-        cache.configure(enabled=True)
         for scenario in scenarios:  # populate
             synthesize(
                 scenario.model,
                 auto_allocate=scenario.params.auto_allocate,
+                use_cache=True,
             )
-        hits = 0
-        warm_mdls = []
-        start = time.perf_counter()
-        for scenario in scenarios:
-            result = synthesize(
-                scenario.model,
-                auto_allocate=scenario.params.auto_allocate,
-            )
-            warm_mdls.append(result.mdl_text)
-            status = result.obs.parallel.get("cache", {}).get("status")
-            hits += 1 if status == "hit" else 0
-        warm_s = time.perf_counter() - start
+        for _ in range(PASSES):
+            cold_pass = warm_pass = 0.0
+            for scenario in scenarios:
+                auto_allocate = scenario.params.auto_allocate
+                start = time.perf_counter()
+                cold_mdl = synthesize(
+                    scenario.model, auto_allocate=auto_allocate, use_cache=False
+                ).mdl_text
+                middle = time.perf_counter()
+                warm = synthesize(
+                    scenario.model, auto_allocate=auto_allocate, use_cache=True
+                )
+                warm_mdl = warm.mdl_text
+                end = time.perf_counter()
+                cold_pass += middle - start
+                warm_pass += end - middle
+                hits += warm.obs.parallel["cache"]["status"] == "hit"
+                identical = identical and warm_mdl == cold_mdl
+            cold_s = min(cold_s, cold_pass)
+            warm_s = min(warm_s, warm_pass)
     finally:
         cache.restore(state)
 
@@ -76,6 +87,6 @@ def measure_zoo(
         "models_per_sec_cold": count / cold_s if cold_s else None,
         "models_per_sec_warm": count / warm_s if warm_s else None,
         "cache_speedup": cold_s / warm_s if warm_s else None,
-        "warm_hit_rate": hits / count if count else None,
-        "artifacts_identical": warm_mdls == cold_mdls,
+        "warm_hit_rate": hits / (count * PASSES) if count else None,
+        "artifacts_identical": identical,
     }

@@ -1,8 +1,11 @@
 """Unit tests for the end-to-end synthesis flow (repro.core.flow)."""
 
+import copy
+import pickle
+
 import pytest
 
-from repro.core import FlowError, resolve_plan, synthesize, synthesize_to_mdl
+from repro.core import FlowError, flow, resolve_plan, synthesize, synthesize_to_mdl
 from repro.simulink import from_mdl, validate_caam
 from repro.uml import DeploymentPlan, ModelBuilder, ValidationError
 
@@ -135,6 +138,67 @@ class TestSynthesize:
 
     def test_barriers_counted_in_result(self, crane_result):
         assert crane_result.barriers_inserted == 1
+
+
+class TestMdlMemo:
+    """``mdl_text`` renders once, until a caller reads the object graph."""
+
+    @pytest.fixture()
+    def renders(self, monkeypatch):
+        calls = []
+        render = flow.to_mdl
+        monkeypatch.setattr(
+            flow, "to_mdl", lambda caam: calls.append(caam) or render(caam)
+        )
+        return calls
+
+    def test_rendered_once_while_graph_untouched(self, renders):
+        result = synthesize(_simple_model(), use_cache=False)
+        assert result.mdl_text is result.mdl_text
+        assert result.intermediate_xml  # an immutable string: memo stays
+        result.mdl_text
+        assert len(renders) == 1
+
+    @pytest.mark.parametrize(
+        "attribute", ["caam", "plan", "mapping", "optimization", "allocation"]
+    )
+    def test_graph_read_ends_the_memo(self, renders, attribute):
+        result = synthesize(_simple_model(), use_cache=False)
+        result.mdl_text
+        getattr(result, attribute)
+        result.mdl_text
+        result.mdl_text
+        assert len(renders) == 3
+
+    def test_mutation_after_memo_reaches_the_artifact(self, tmp_path):
+        result = synthesize(_simple_model(), use_cache=False)
+        before = result.mdl_text
+        result.caam.name = "edited"
+        assert result.mdl_text != before
+        assert 'Name "edited"' in result.mdl_text
+        path = tmp_path / "out.mdl"
+        result.write_mdl(str(path))
+        assert 'Name "edited"' in path.read_text()
+
+    def test_derived_views_keep_the_memo(self, renders):
+        result = synthesize(_simple_model(), use_cache=False)
+        result.mdl_text
+        result.summary, result.warnings, result.barriers_inserted
+        result.mapping_report()
+        result.mdl_text
+        assert len(renders) == 1
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda r: pickle.loads(pickle.dumps(r)), copy.deepcopy],
+        ids=["pickle", "deepcopy"],
+    )
+    def test_result_clones_independently(self, clone):
+        result = synthesize(_simple_model(), use_cache=False)
+        twin = clone(result)
+        assert twin.mdl_text == result.mdl_text
+        twin.caam.name = "twin"
+        assert result.caam.name == "simple"
 
 
 class TestMappingReport:

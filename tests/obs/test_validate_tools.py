@@ -11,6 +11,7 @@ sys.path.insert(
 from validate_trace import (  # noqa: E402
     main,
     validate_bench_slo,
+    validate_bench_zoo,
     validate_slo,
     validate_span_tree,
 )
@@ -163,6 +164,31 @@ class TestBenchSloValidator:
         del document["slo"]["queue_depths"]["8"]["burn_rate"]
         with pytest.raises(ValueError, match="burn_rate"):
             validate_bench_slo(document)
+
+
+class TestBenchZooValidator:
+    def bench(self, **overrides):
+        section = {
+            "seed": 42,
+            "models": 60,
+            "families": ["pipeline"],
+            "corpus_digest": "0" * 64,
+            "models_per_sec_cold": 250.0,
+            "models_per_sec_warm": 1100.0,
+            "warm_hit_rate": 1.0,
+            "cache_speedup": 4.4,
+            "artifacts_identical": True,
+        }
+        section.update(overrides)
+        return {"zoo": section}
+
+    def test_valid_section_passes(self):
+        validate_bench_zoo(self.bench())
+
+    @pytest.mark.parametrize("speedup", [2.2, 3.99, None])
+    def test_cache_speedup_below_floor_rejected(self, speedup):
+        with pytest.raises(ValueError, match="cache_speedup"):
+            validate_bench_zoo(self.bench(cache_speedup=speedup))
 
 
 class TestCli:

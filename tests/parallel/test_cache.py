@@ -60,6 +60,44 @@ class TestContentCache:
             handle.write(b"not a pickle")
         assert store.get("bad") is None
 
+    @pytest.mark.parametrize(
+        "foreign",
+        [
+            # GLOBAL of a module that does not exist: ModuleNotFoundError.
+            b"cno_such_module_for_cache_tests\nThing\n.",
+            # int("x"): ValueError while reducing.
+            b"cbuiltins\nint\n(S'x'\ntR.",
+            # int("x", "y"): TypeError while reducing.
+            b"cbuiltins\nint\n(S'x'\nS'y'\ntR.",
+        ],
+        ids=["missing-module", "value-error", "type-error"],
+    )
+    def test_undecodable_disk_entry_is_a_counted_miss(self, tmp_path, foreign):
+        directory = str(tmp_path)
+        with open(os.path.join(directory, "bad.pkl"), "wb") as handle:
+            handle.write(foreign)
+        with use(Recorder()) as rec:
+            store = ContentCache("t", directory=directory)
+            assert store.get("bad") is None
+            counters = rec.metrics.to_dict()["counters"]
+        assert counters["cache.t.miss"] == 1
+        assert "bad" not in store
+
+    def test_rejected_value_is_a_miss(self, tmp_path):
+        directory = str(tmp_path)
+        with use(Recorder()) as rec:
+            store = ContentCache("t", directory=directory)
+            store.put("k", [1])
+            assert store.get("k", accept=lambda v: isinstance(v, tuple)) is None
+            assert "k" not in store  # dropped from memory
+            # The disk copy is rejected the same way, and not promoted.
+            assert store.get("k", accept=lambda v: isinstance(v, tuple)) is None
+            assert "k" not in store
+            assert store.get("k", accept=lambda v: v == [1]) == [1]
+            counters = rec.metrics.to_dict()["counters"]
+        assert counters["cache.t.miss"] == 2
+        assert counters["cache.t.hit_disk"] == 1
+
     def test_clear_leaves_disk_alone(self, tmp_path):
         store = ContentCache("t", directory=str(tmp_path))
         store.put("k", 1)

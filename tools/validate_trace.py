@@ -267,6 +267,13 @@ BENCH_ZOO_FIELDS = (
 )
 
 
+#: Floor for ``zoo.cache_speedup``.  A hit serves the stored ``.mdl``
+#: and leaves the graph pickled; if it fell back to rebuilding the
+#: result (unpickle the graph, re-render), the speedup would drop to
+#: ~2x, the figure measured before hits served stored artifacts.
+ZOO_MIN_CACHE_SPEEDUP = 4.0
+
+
 def validate_bench_zoo(document: Dict[str, Any]) -> None:
     """Raise ``ValueError`` unless BENCH_obs.json carries a valid "zoo".
 
@@ -298,6 +305,13 @@ def validate_bench_zoo(document: Dict[str, Any]) -> None:
         raise ValueError(
             f"'zoo.warm_hit_rate' is {hit_rate}: some corpus models "
             "missed the primed synthesis cache"
+        )
+    speedup = section["cache_speedup"]
+    if not isinstance(speedup, (int, float)) or speedup < ZOO_MIN_CACHE_SPEEDUP:
+        raise ValueError(
+            f"'zoo.cache_speedup' is {speedup}, below the "
+            f"{ZOO_MIN_CACHE_SPEEDUP}x floor: cache hits are rebuilding "
+            "results instead of serving the stored artifact"
         )
 
 
