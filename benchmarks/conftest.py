@@ -86,17 +86,24 @@ def _collect_obs_metrics(recorder: "obs.Recorder") -> None:
 
 
 def _measure_parallel() -> dict:
-    """Time serial vs pooled DSE and cold vs warm cached synthesis.
+    """Time batched vs scalar DSE and cold vs warm cached synthesis.
 
-    The DSE numbers depend on host core count (recorded alongside); the
-    cache numbers compare a full flow run against a hit that serves the
-    stored ``.mdl`` text (the object graph stays pickled).
+    The DSE numbers run one exhaustive exploration of the Bell(8)
+    subgraph with the vectorized batch estimator, then again with
+    batching forced off through ``DSE_BATCH_MIN`` (the scalar per-candidate
+    path); the candidate lists must match.  The cache numbers compare a
+    full flow run against a hit that serves the stored ``.mdl`` text (the
+    object graph stays pickled).
     """
+    import importlib
+
     from repro.apps import crane, synthetic
     from repro.core import TaskGraph, synthesize
     from repro.dse.explore import candidate_sort_key, exhaustive_explore
     from repro.parallel import cache
 
+    # ``repro.dse.explore`` as an attribute is the re-exported function.
+    explore_module = importlib.import_module("repro.dse.explore")
     keep = set(synthetic.THREADS[:8])  # Bell(8) = 4140 partitions
     full = synthetic.task_graph()
     graph = TaskGraph()
@@ -106,22 +113,19 @@ def _measure_parallel() -> dict:
         if src in keep and dst in keep:
             graph.add_edge(src, dst, weight)
 
-    from repro.parallel.pool import resolve_workers
-
     start = time.perf_counter()
-    serial = exhaustive_explore(graph, workers=1)
-    serial_s = time.perf_counter() - start
-    # resolve_workers clamps the request to the host's core count (and
-    # falls back to the serial path on 1-core hosts), so the measured
-    # "speedup" reflects a configuration the pool would actually use —
-    # never the pathological 4-forks-on-1-core case.
-    requested_workers = 4
-    resolved_workers = resolve_workers(requested_workers)
-    start = time.perf_counter()
-    pooled = exhaustive_explore(graph, workers=requested_workers)
-    parallel_s = time.perf_counter() - start
-    identical = [candidate_sort_key(c) for c in serial] == [
-        candidate_sort_key(c) for c in pooled
+    batched = exhaustive_explore(graph)
+    batched_s = time.perf_counter() - start
+    batch_min = explore_module.DSE_BATCH_MIN
+    explore_module.DSE_BATCH_MIN = 10**9
+    try:
+        start = time.perf_counter()
+        scalar = exhaustive_explore(graph)
+        scalar_s = time.perf_counter() - start
+    finally:
+        explore_module.DSE_BATCH_MIN = batch_min
+    identical = [candidate_sort_key(c) for c in batched] == [
+        candidate_sort_key(c) for c in scalar
     ]
 
     state = cache.snapshot()
@@ -144,12 +148,10 @@ def _measure_parallel() -> dict:
     return {
         "cpu_count": os.cpu_count(),
         "dse_graph_threads": len(keep),
-        "dse_candidates": len(serial),
-        "dse_serial_s": serial_s,
-        "dse_workers_requested": requested_workers,
-        "dse_workers_resolved": resolved_workers,
-        "dse_workers4_s": parallel_s,
-        "dse_parallel_speedup": serial_s / parallel_s if parallel_s else None,
+        "dse_candidates": len(batched),
+        "dse_batched_s": batched_s,
+        "dse_scalar_s": scalar_s,
+        "dse_batch_speedup": scalar_s / batched_s if batched_s else None,
         "dse_outputs_identical": identical,
         "synthesize_cold_s": cold_s,
         "synthesize_warm_s": warm_s,

@@ -1,14 +1,15 @@
-"""Extension experiment E5 — parallel DSE and the synthesis cache.
+"""Extension experiment E5 — batched DSE and the synthesis cache.
 
 Measures (a) exhaustive exploration of a 9-thread subgraph of the
-synthetic Fig. 7(a) task graph serially vs with a 4-worker process pool,
-asserting the candidate lists are identical, and (b) cold- vs warm-cache
-``synthesize()`` on the crane case study, asserting the warm run returns
-the same artifact.  Wall-clock speedups depend on the host's core count
-(``os.cpu_count()`` is printed alongside); the *correctness* assertions
-hold everywhere.
+synthetic Fig. 7(a) task graph with the vectorized batch estimator vs
+the scalar per-candidate path (batching forced off through
+``DSE_BATCH_MIN``), asserting the candidate lists are identical, and (b)
+cold- vs warm-cache ``synthesize()`` on the crane case study, asserting
+the warm run returns the same artifact.  Wall-clock speedups depend on
+the host; the *correctness* assertions hold everywhere.
 """
 
+import importlib
 import os
 import time
 
@@ -31,32 +32,31 @@ def _subgraph(threads: int) -> TaskGraph:
     return graph
 
 
-def test_parallel_exhaustive_matches_serial(paper_report):
+def test_batched_exhaustive_matches_scalar(paper_report, monkeypatch):
     graph = _subgraph(9)  # Bell(9) = 21147 partitions
 
     start = time.perf_counter()
-    serial = exhaustive_explore(graph, workers=1)
-    serial_s = time.perf_counter() - start
+    batched = exhaustive_explore(graph)
+    batched_s = time.perf_counter() - start
 
+    # ``repro.dse.explore`` as an attribute is the re-exported function.
+    explore_module = importlib.import_module("repro.dse.explore")
+    monkeypatch.setattr(explore_module, "DSE_BATCH_MIN", 10**9)
     start = time.perf_counter()
-    parallel = exhaustive_explore(graph, workers=4)
-    parallel_s = time.perf_counter() - start
+    scalar = exhaustive_explore(graph)
+    scalar_s = time.perf_counter() - start
 
-    assert [candidate_sort_key(c) for c in serial] == [
-        candidate_sort_key(c) for c in parallel
+    assert [candidate_sort_key(c) for c in batched] == [
+        candidate_sort_key(c) for c in scalar
     ]
-    speedup = serial_s / parallel_s if parallel_s else 0.0
+    speedup = scalar_s / batched_s if batched_s else 0.0
     paper_report(
-        "E5a: parallel DSE (9-thread graph, Bell(9)=21147)",
+        "E5a: batched DSE estimation (9-thread graph, Bell(9)=21147)",
         [
-            ("candidates", "21147", f"{len(serial)}"),
-            ("serial", "baseline", f"{serial_s:.2f} s"),
-            ("workers=4", "identical output", f"{parallel_s:.2f} s"),
-            (
-                "speedup",
-                ">=2x on >=4 cores",
-                f"{speedup:.2f}x on {os.cpu_count()} core(s)",
-            ),
+            ("candidates", "21147", f"{len(batched)}"),
+            ("scalar", "baseline", f"{scalar_s:.2f} s"),
+            ("batched", "identical output", f"{batched_s:.2f} s"),
+            ("speedup", ">=1.2x", f"{speedup:.2f}x"),
         ],
     )
 

@@ -61,7 +61,7 @@ class TransientFlowError(FlowError):
 
 
 #: Exception types considered retry-worthy even when raised outside the
-#: flow proper (pool plumbing, cache I/O, interrupted syscalls).
+#: flow proper (cache and journal I/O, interrupted syscalls).
 _TRANSIENT_TYPES = (
     TransientFlowError,
     OSError,

@@ -61,7 +61,7 @@ class Span:
     end_cpu: Optional[float] = None
     error: Optional[str] = None
     attrs: Dict[str, Any] = field(default_factory=dict)
-    #: Ident of the thread that opened the span (0 = retroactive record).
+    #: Ident of the thread that opened the span (0 = unknown).
     thread_id: int = 0
 
     @property
@@ -189,18 +189,6 @@ class NullRecorder:
         """Return the shared no-op context manager."""
         return _NULL_SPAN
 
-    def record_span(
-        self,
-        name: str,
-        start_wall: float,
-        end_wall: float,
-        *,
-        category: str = "",
-        cpu_seconds: float = 0.0,
-        **attrs: Any,
-    ) -> None:
-        """No-op."""
-
 
 NULL = NullRecorder()
 
@@ -259,8 +247,8 @@ class Recorder:
 
         This is the cross-thread stitching primitive: a server worker
         thread attaches the job's root span id before executing, so every
-        span the execution opens (flow passes, pool worker windows)
-        parents into the job's tree instead of starting an orphan root.
+        span the execution opens (flow passes, DSE evaluation) parents
+        into the job's tree instead of starting an orphan root.
         """
         stack = self._stack()
         stack.append(parent_id if parent_id is not None else -1)
@@ -382,35 +370,6 @@ class Recorder:
             span.error = error
         span.attrs.update(attrs)
         self.metrics.observe(span.name, span.duration)
-
-    def record_span(
-        self,
-        name: str,
-        start_wall: float,
-        end_wall: float,
-        *,
-        category: str = "",
-        cpu_seconds: float = 0.0,
-        parent_id: Any = _INHERIT,
-        **attrs: Any,
-    ) -> Span:
-        """Record an already-finished span with externally measured times.
-
-        This is how work performed outside the recorder's process — e.g. a
-        worker of the :mod:`repro.parallel` evaluation pool — lands in the
-        trace: the worker measures its own wall window and the parent
-        retroactively materializes a closed span from it.  The span nests
-        under the calling thread's currently open span (or an explicit
-        ``parent_id``) and feeds the metrics timer exactly like a
-        context-manager span.
-        """
-        span = self._new_span(
-            name, category, parent_id, start_wall, 0.0, dict(attrs), 0
-        )
-        span.end_wall = end_wall
-        span.end_cpu = cpu_seconds
-        self.metrics.observe(name, span.duration)
-        return span
 
     # -- metrics passthrough ----------------------------------------------
     def incr(self, name: str, amount: float = 1.0) -> None:

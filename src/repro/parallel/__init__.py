@@ -1,13 +1,5 @@
-"""Parallel execution substrate: process-pool DSE + content-addressed cache.
+"""Content-addressed result cache for the synthesis flow.
 
-Two orthogonal accelerators for the synthesis flow and the design-space
-explorer, built so that turning them on **never changes results**:
-
-- :mod:`repro.parallel.pool` — :class:`EvaluationPool` evaluates DSE
-  allocation candidates in worker processes; results merge in submission
-  order and are byte-identical to a serial run (the explorers'
-  ``workers=N`` parameter and the ``REPRO_WORKERS`` environment variable
-  route through it);
 - :mod:`repro.parallel.cache` — :class:`ContentCache`, an in-memory LRU
   of pickled results with an optional on-disk store, keyed by the
   structural fingerprints of :mod:`repro.parallel.fingerprint`;
@@ -15,18 +7,10 @@ explorer, built so that turning them on **never changes results**:
   cache configured here (opt-in: :func:`configure_synthesis_cache`,
   ``REPRO_CACHE=1`` / ``REPRO_CACHE_DIR``, or the CLI ``--cache-dir``).
 
-See ``docs/parallel.md`` for the worker model, cache-key semantics, and
-invalidation caveats.
-
-The evaluation pool lives in :mod:`repro.parallel.pool` and is imported
-lazily by the explorers (it pulls in :mod:`repro.dse`); import it
-directly::
-
-    from repro.parallel.pool import EvaluationPool, resolve_workers
-
-The batch server (:mod:`repro.server`) uses the graph-agnostic
-:class:`repro.parallel.pool.SharedEvaluationPool` instead: forked once
-per server, reused across jobs, cancellable mid-evaluation.
+Turning the cache on never changes results.  The package keeps its
+historical name; design-space exploration evaluates in-process (see
+:mod:`repro.dse.explore`).  See ``docs/parallel.md`` for cache-key
+semantics and invalidation caveats.
 """
 
 from .cache import (

@@ -2,10 +2,10 @@
 
 ``estimate_allocations`` replays ``estimate_allocation``'s exact IEEE op
 order across a plans axis; these tests pin that equivalence (struct-packed
-float comparison, not approximate), the explorer wiring that uses it, and
-the ``REPRO_DSE_BATCH`` kill switch.
+float comparison, not approximate) and the explorer wiring that uses it.
 """
 
+import importlib
 import random
 import struct
 
@@ -25,6 +25,10 @@ from repro.dse.explore import (
 from repro.uml.deployment import DeploymentPlan
 
 pytest.importorskip("numpy")
+
+#: The module itself: ``repro.dse.explore`` resolves to the front-door
+#: function re-exported by the package.
+explore_module = importlib.import_module("repro.dse.explore")
 
 FIELDS = (
     "makespan_cycles",
@@ -125,7 +129,7 @@ class TestExplorerWiring:
     def test_exhaustive_identical_with_batching_disabled(self, monkeypatch):
         graph = self._graph()
         batched = exhaustive_explore(graph)
-        monkeypatch.setenv("REPRO_DSE_BATCH", "0")
+        monkeypatch.setattr(explore_module, "DSE_BATCH_MIN", 10**9)
         looped = exhaustive_explore(graph)
         assert len(batched) >= DSE_BATCH_MIN  # the batch path engaged
         assert list(map(_candidate_key, batched)) == list(
@@ -135,7 +139,7 @@ class TestExplorerWiring:
     def test_greedy_identical_with_batching_disabled(self, monkeypatch):
         graph = self._graph()
         batched = greedy_explore(graph)
-        monkeypatch.setenv("REPRO_DSE_BATCH", "0")
+        monkeypatch.setattr(explore_module, "DSE_BATCH_MIN", 10**9)
         looped = greedy_explore(graph)
         assert list(map(_candidate_key, batched)) == list(
             map(_candidate_key, looped)
@@ -144,7 +148,7 @@ class TestExplorerWiring:
     def test_throughput_objective_identical(self, monkeypatch):
         graph = self._graph()
         batched = exhaustive_explore(graph, objective="throughput")
-        monkeypatch.setenv("REPRO_DSE_BATCH", "0")
+        monkeypatch.setattr(explore_module, "DSE_BATCH_MIN", 10**9)
         looped = exhaustive_explore(graph, objective="throughput")
         assert list(map(_candidate_key, batched)) == list(
             map(_candidate_key, looped)

@@ -1,5 +1,7 @@
 """Unit + property tests for design-space exploration (repro.dse.explore)."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -91,6 +93,62 @@ class TestGreedy:
 
         candidates = greedy_explore(task_graph(), max_cpus=2)
         assert all(c.cpu_count <= 2 for c in candidates)
+
+
+def _random_graph(rng, threads):
+    """A random weighted digraph over ``threads`` nodes (may have cycles)."""
+    graph = TaskGraph()
+    names = [f"T{i}" for i in range(threads)]
+    for name in names:
+        graph.add_node(name, float(rng.randint(1, 4)))
+    for src in names:
+        for dst in names:
+            if src != dst and rng.random() < 0.35:
+                graph.add_edge(src, dst, float(rng.randint(1, 8) * 32))
+    return graph
+
+
+class TestGreedyVsExhaustive:
+    #: Seeds × sizes; ≤8 threads keeps Bell numbers (≤4140) test-friendly.
+    CASES = [(seed, 3 + seed % 6) for seed in range(6)]
+
+    @pytest.mark.parametrize("seed,threads", CASES)
+    def test_greedy_never_beats_exhaustive_optimum(self, seed, threads):
+        graph = _random_graph(random.Random(200 + seed), threads)
+        optimum = exhaustive_explore(graph)[0]
+        best_greedy = greedy_explore(graph)[0]
+        assert optimum.metric <= best_greedy.metric
+
+
+class TestMaxCpusValidation:
+    """A non-positive CPU budget is rejected up front by every explorer."""
+
+    @pytest.mark.parametrize("max_cpus", [0, -1])
+    def test_exhaustive_rejects(self, max_cpus):
+        with pytest.raises(ExplorationError, match="max_cpus must be >= 1"):
+            exhaustive_explore(_two_chain_graph(), max_cpus=max_cpus)
+
+    @pytest.mark.parametrize("max_cpus", [0, -1])
+    def test_greedy_rejects(self, max_cpus):
+        from repro.apps.synthetic import task_graph
+
+        with pytest.raises(ExplorationError, match="max_cpus must be >= 1"):
+            greedy_explore(task_graph(), max_cpus=max_cpus)
+
+    def test_front_door_rejects_on_both_strategies(self):
+        from repro.apps.synthetic import task_graph
+
+        for graph in (_two_chain_graph(), task_graph()):
+            with pytest.raises(
+                ExplorationError, match="max_cpus must be >= 1"
+            ):
+                explore(graph, max_cpus=0)
+
+    def test_budget_of_one_still_explores(self):
+        from repro.apps.synthetic import task_graph
+
+        candidates = greedy_explore(task_graph(), max_cpus=1)
+        assert [c.cpu_count for c in candidates] == [1]
 
 
 class TestPareto:

@@ -13,9 +13,9 @@ import pytest
 from repro.apps import crane, didactic
 from repro.core.flow import synthesize
 from repro.core.taskgraph import task_graph_from_model
-from repro.dse.explore import explore, pareto_front
+from repro.dse.explore import ExplorationError, explore, pareto_front
 from repro.parallel import cache as pcache
-from repro.server import JobManager, JobSpec, JobState
+from repro.server import JobManager, JobSpec, JobState, execute
 
 from .test_manager import wait_for
 
@@ -92,5 +92,23 @@ class TestExploreDifferential:
             ]
             assert served == expected
             assert job.outcome.payload["candidates"] == len(candidates)
+        finally:
+            manager.shutdown()
+
+    def test_nonpositive_max_cpus_fails_cleanly(self):
+        spec = JobSpec(
+            kind="explore", demo="synthetic", options={"max_cpus": 0}
+        )
+        with pytest.raises(ExplorationError, match="max_cpus must be >= 1"):
+            execute(spec)
+
+        manager = JobManager(workers=1).start()
+        try:
+            job = manager.submit(spec)
+            assert wait_for(lambda: job.state.terminal, timeout=60.0)
+            assert job.state is JobState.FAILED
+            assert job.attempts == 1  # deterministic: never retried
+            assert job.error.startswith("ExplorationError: max_cpus must")
+            assert "IndexError" not in job.error
         finally:
             manager.shutdown()
