@@ -248,7 +248,7 @@ def _measure_simbatch() -> dict:
         Simulator,
         numpy_available,
     )
-    from repro.simulink.batch import BATCH_THRESHOLD_ENV
+    from repro.simulink import simulator as simulator_module
 
     if not numpy_available():
         return {
@@ -268,18 +268,18 @@ def _measure_simbatch() -> dict:
         return (SIMBATCH_STEPS * len(stimuli)) / best, episodes
 
     sweep = {}
-    saved = os.environ.get(BATCH_THRESHOLD_ENV)
+    saved = simulator_module.BATCH_THRESHOLD
     try:
         for size in SIMBATCH_SIZES:
             stimuli = [
                 {"In3": [5.0] * SIMBATCH_STEPS, "In1": [0.01 * k] * (k % 60)}
                 for k in range(size)
             ]
-            os.environ[BATCH_THRESHOLD_ENV] = str(10**9)
+            simulator_module.BATCH_THRESHOLD = 10**9
             looped_rate, looped = best_of_three(
                 Simulator(caam, engine=ENGINE_SLOTS), stimuli
             )
-            os.environ.pop(BATCH_THRESHOLD_ENV, None)
+            simulator_module.BATCH_THRESHOLD = saved
             batched_rate, batched = best_of_three(
                 Simulator(caam, engine=ENGINE_BATCH), stimuli
             )
@@ -291,10 +291,7 @@ def _measure_simbatch() -> dict:
                 == [r.to_csv() for r in looped],
             }
     finally:
-        if saved is None:
-            os.environ.pop(BATCH_THRESHOLD_ENV, None)
-        else:
-            os.environ[BATCH_THRESHOLD_ENV] = saved
+        simulator_module.BATCH_THRESHOLD = saved
     return {
         "available": True,
         "sim_steps": SIMBATCH_STEPS,

@@ -126,18 +126,16 @@ def test_batch_engine_10x_looped_at_512(crane_caam, paper_report):
     (exactness first, speed second).
     """
     pytest.importorskip("numpy")
-    import os
-
     from repro.simulink import ENGINE_BATCH
-    from repro.simulink.batch import BATCH_THRESHOLD_ENV
+    from repro.simulink import simulator as simulator_module
 
     steps, size = 50, 512
     stimuli = [{"In3": [5.0] * steps} for _ in range(size)]
 
-    def steps_per_sec(engine, env=None):
-        saved = os.environ.get(BATCH_THRESHOLD_ENV)
-        if env is not None:
-            os.environ[BATCH_THRESHOLD_ENV] = env
+    def steps_per_sec(engine, threshold=None):
+        saved = simulator_module.BATCH_THRESHOLD
+        if threshold is not None:
+            simulator_module.BATCH_THRESHOLD = threshold
         try:
             simulator = Simulator(crane_caam, engine=engine)
             best = float("inf")
@@ -146,13 +144,10 @@ def test_batch_engine_10x_looped_at_512(crane_caam, paper_report):
                 episodes = simulator.run_many(steps, stimuli)
                 best = min(best, time.perf_counter() - start)
         finally:
-            if saved is None:
-                os.environ.pop(BATCH_THRESHOLD_ENV, None)
-            else:
-                os.environ[BATCH_THRESHOLD_ENV] = saved
+            simulator_module.BATCH_THRESHOLD = saved
         return (steps * size) / best, episodes
 
-    looped_sps, looped = steps_per_sec(ENGINE_SLOTS, env=str(10**9))
+    looped_sps, looped = steps_per_sec(ENGINE_SLOTS, threshold=10**9)
     batched_sps, batched = steps_per_sec(ENGINE_BATCH)
     assert [r.to_csv() for r in batched] == [r.to_csv() for r in looped]
     speedup = batched_sps / looped_sps

@@ -9,7 +9,8 @@ takes the crane UML model and fans it out to
 - the Simulink back-end (CAAM ``.mdl`` + intermediate E-core XML),
 - the multithreaded Java back-end,
 - the KPN back-end (network + GraphViz topology),
-- the MPSoC multithreaded C generator (via the synthesized CAAM),
+- the static-schedule C/Java generator (via the synthesized CAAM, with
+  its traceability manifest),
 
 writing every artifact into an output directory.
 
@@ -24,7 +25,7 @@ import tempfile
 
 from repro.apps import crane
 from repro.backends import DesignFlow, JavaBackend, KpnBackend, SimulinkBackend
-from repro.mpsoc import generate_all
+from repro.codegen import generate
 
 
 def main() -> None:
@@ -41,12 +42,14 @@ def main() -> None:
 
     print(f"generating from UML model {model.name!r} into {output_dir}/")
     artifacts = flow.generate_all(model)
-    # Add the downstream MPSoC C sources generated from the CAAM.
-    assert simulink.last_result is not None
-    artifacts["mpsoc-c"] = {
-        f"{cpu}.c": source
-        for cpu, source in generate_all(simulink.last_result.caam).items()
-    }
+    # Add the static-schedule C and Java generated from the CAAM.
+    result = simulink.last_result
+    assert result is not None
+    artifacts["codegen"] = generate(
+        result.caam,
+        languages=("c", "java"),
+        uml_trace=result.mapping.context.trace,
+    ).files
 
     total = 0
     for backend, files in artifacts.items():

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from repro.apps import mjpeg
 from repro.core import synthesize
-from repro.mpsoc import generate_cpu_source, platform_for_caam, steady_state_interval
+from repro.mpsoc import platform_for_caam, steady_state_interval
 from repro.simulink import Simulator
 from repro.uml import DeploymentPlan
 
@@ -57,17 +57,6 @@ def main() -> None:
         interval = steady_state_interval(swept.caam, platform)
         base = base or interval
         print(f"  {cpus:>5} {interval:>15g} {base / interval:>8.2f}x")
-
-    print("\n=== 4. Multithreaded C for the fully pipelined mapping ===")
-    plan = DeploymentPlan.from_mapping(
-        {t: f"CPU{i}" for i, t in enumerate(mjpeg.THREADS)}
-    )
-    pipelined = synthesize(model, plan, behaviors=mjpeg.behaviors())
-    source = generate_cpu_source(pipelined.caam, "CPU1")
-    print("  CPU1 (the VLD stage):")
-    for line in source.splitlines():
-        if "thread_Tvld" in line or "fifo" in line or "vld(" in line:
-            print(f"    {line.strip()}")
 
 
 if __name__ == "__main__":

@@ -6,8 +6,7 @@ threads is turned into a task graph, clustered with linear clustering
 (Gerasoulis & Yang), and synthesized — with no deployment diagram — into a
 four-CPU Simulink CAAM whose top level matches the paper's Fig. 8.  The
 example then compares the automatic allocation against round-robin and
-random baselines on the MPSoC cost model, and prints the generated
-multithreaded C for one CPU.
+random baselines on the MPSoC cost model and prints the static schedule.
 
 Run:  python examples/synthetic_mpsoc.py
 """
@@ -24,7 +23,6 @@ from repro.core import (
 )
 from repro.mpsoc import (
     communication_cost,
-    generate_cpu_source,
     platform_for_caam,
     schedule_caam,
 )
@@ -72,12 +70,6 @@ def main() -> None:
     print("  schedule:")
     for line in schedule.gantt().splitlines():
         print(f"    {line}")
-
-    cpu = result.caam.cpus()[0].name
-    print(f"\n=== Generated multithreaded C for {cpu} (first 30 lines) ===")
-    source = generate_cpu_source(result.caam, cpu)
-    for line in source.splitlines()[:30]:
-        print(f"  {line}")
 
 
 if __name__ == "__main__":

@@ -902,7 +902,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "execution engine: compiled slot kernels (default), the "
             "NumPy-vectorized batch engine (requires numpy), or the "
-            "reference interpreter (default: $REPRO_SIM_ENGINE, else slots)"
+            "reference interpreter"
         ),
     )
     p.set_defaults(handler=_cmd_simulate)

@@ -6,17 +6,21 @@ static signal/state variables, static ring buffers preloaded by
 element, and one ``<model>_step(inputs, outputs)`` that replays the
 analyzer's PASS firing order.  No malloc, no scheduler, no threads.
 
+The statements come from the shared lowering (:mod:`repro.codegen.lower`),
+which renders each block's entry of the kernel table
+(:mod:`repro.simulink.kernels`); this module owns only the C file layout
+and :data:`C_DIALECT`.
+
 **Bit-identity contract.**  The differential harness pins the generated
 program's output streams bit-for-bit against the slot-compiled simulator,
-so every emitted expression reproduces the Python block semantics
-(:mod:`repro.simulink.blocks`) exactly:
+which runs the same table entries:
 
 - all numeric literals are C99 hexadecimal floating constants
   (``float.hex()``), which round-trip ``double`` values exactly;
 - ``Sum`` accumulates left-to-right from a leading ``0.0`` (including
   the sign-of-zero consequence: ``0.0 + -0.0`` is ``+0.0``);
-- ``Saturation`` is the ternary pair matching Python's
-  ``min(max(x, lo), hi)`` tie behaviour;
+- ``Saturation`` is ``t = x >= lo ? x : lo; y = t <= hi ? t : hi`` in
+  every engine, so NaN saturates to the lower limit;
 - compilation must disable FP contraction (``-ffp-contract=off``) so no
   multiply-add fuses — :data:`repro.codegen.differential.CFLAGS` is the
   reference flag set.
@@ -28,13 +32,12 @@ never loses a bit to decimal formatting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isinf, isnan
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List
 
-from ..simulink.model import Block
-from .identifiers import SymbolTable, sanitize
-from .schedule import BufferSpec, CodegenError, StaticSchedule, ValueRef
+from .identifiers import sanitize
+from .lower import Dialect, lower
+from .schedule import StaticSchedule
 
 
 def c_double(value: float) -> str:
@@ -45,25 +48,6 @@ def c_double(value: float) -> str:
     if isinf(value):
         return "INFINITY" if value > 0 else "-INFINITY"
     return value.hex()
-
-
-@dataclass(frozen=True)
-class Dialect:
-    """The language-specific slice of block emission.
-
-    Both emitters render *the same* statement skeletons through one code
-    path (:func:`block_statements`), so C and Java can never drift apart
-    semantically; only literals, intrinsics and declaration syntax vary.
-    """
-
-    double: Callable[[float], str]
-    abs_fn: str
-    sin_fn: str
-    #: ``decl_double(name, comment)`` / ``decl_flag`` for state variables.
-    decl_double: Callable[[str, str], str]
-    decl_flag: Callable[[str, str], str]
-    flag_true: str
-    flag_false: str
 
 
 C_DIALECT = Dialect(
@@ -77,153 +61,30 @@ C_DIALECT = Dialect(
 )
 
 
-class _Namer:
-    """Stable symbol assignment for one translation unit."""
-
-    def __init__(self, schedule: StaticSchedule) -> None:
-        self._prefix = schedule.name + "/"
-        self._signals = SymbolTable("v_")
-        self._states = SymbolTable("s_")
-        self._stims = SymbolTable("in_")
-        self._pes = SymbolTable("pe_")
-
-    def _rel(self, block: Block) -> str:
-        path = block.path
-        if path.startswith(self._prefix):
-            path = path[len(self._prefix):]
-        return path
-
-    def signal(self, block: Block, port: int = 1) -> str:
-        # Extra output ports get their own table entries so a mangled
-        # block name can never collide with a port-suffixed sibling.
-        key = self._rel(block) if port == 1 else f"{self._rel(block)}.out{port}"
-        return self._signals.symbol(key)
-
-    def state(self, block: Block) -> str:
-        return self._states.symbol(self._rel(block))
-
-    def stim(self, block: Block) -> str:
-        return self._stims.symbol(block.name)
-
-    def pe(self, name: str) -> str:
-        return self._pes.symbol(name) + "_step"
-
-
-def _out_count(block: Block) -> int:
-    """How many output samples the simulator writes for ``block``."""
-    if block.block_type == "S-Function" and (
-        block.parameters.get("callback") is None
-    ):
-        return max(1, block.num_outputs)
-    if block.block_type in ("Scope", "Terminator"):
-        return 0
-    return 1
-
-
 def generate_c(schedule: StaticSchedule) -> Dict[str, str]:
     """Emit ``{"<model>.c": ..., "<model>.h": ...}`` for ``schedule``."""
     name = sanitize(schedule.name).lower()
     macro = name.upper()
-    names = _Namer(schedule)
-
-    def ref(value: ValueRef) -> str:
-        if value.kind == "signal":
-            assert value.block is not None
-            if value.port > max(1, _out_count(value.block)):
-                raise CodegenError(
-                    f"block output {value.block.path!r}.out{value.port} is "
-                    f"consumed but never produced"
-                )
-            return names.signal(value.block, value.port)
-        if value.kind == "stim":
-            assert value.block is not None
-            return names.stim(value.block)
-        return f"rb{value.buffer_index}_pop"
-
-    signals: List[str] = []
-    states: List[str] = []
-    pe_functions: List[str] = []
-    init_lines: List[str] = []
-
-    for inport in schedule.inports:
-        signals.append(f"static double {names.stim(inport)};")
-
-    for pe in schedule.pes:
-        body: List[str] = []
-        updates: List[str] = []
-        for index in pe.pops:
-            body.append(_pop_stmt(schedule.buffers[index]))
-        for step in pe.blocks:
-            block = step.block
-            args = [ref(value) for value in step.inputs]
-            stmts, upd, decls, inits = block_statements(
-                block, args, names, C_DIALECT
-            )
-            body.extend(stmts)
-            updates.extend(upd)
-            states.extend(decls)
-            init_lines.extend(inits)
-            for port in range(1, _out_count(block) + 1):
-                signals.append(
-                    f"static double {names.signal(block, port)};"
-                )
-        for index in pe.pushes:
-            spec = schedule.buffers[index]
-            body.append(_push_stmt(spec, ref(spec.source)))
-        body.extend(updates)
-        if not body:
-            body.append("    /* no blocks scheduled on this PE */")
-        pe_functions.append(
-            f"static void {names.pe(pe.name)}(void) {{\n"
-            + "\n".join(body)
-            + "\n}"
-        )
-
+    lowered = lower(schedule, C_DIALECT)
+    signals = [f"static double {symbol};" for symbol in lowered.signals]
+    pe_functions = [
+        f"static void {pe}(void) {{\n" + "\n".join(body) + "\n}"
+        for pe, body in lowered.pes
+    ]
     buffer_decls: List[str] = []
-    for spec in schedule.buffers:
+    for spec, note in zip(schedule.buffers, lowered.buffer_notes):
         n = spec.index
         buffer_decls.append(
             f"static double rb{n}[{spec.capacity}]; "
             f"static int rb{n}_head; static int rb{n}_tail; "
-            f"static double rb{n}_pop;"
-            f"  /* {spec.channel.path}"
-            + (f", {spec.delay} initial token(s)" if spec.delay else "")
-            + " */"
+            f"static double rb{n}_pop;  {note}"
         )
-        for position, token in enumerate(spec.initial):
-            init_lines.append(f"    rb{n}[{position}] = {c_double(token)};")
-        init_lines.append(
-            f"    rb{n}_head = 0; rb{n}_tail = {spec.delay}; "
-            f"rb{n}_pop = 0.0;"
-        )
-
-    step_body: List[str] = []
-    if schedule.inports:
-        for position, inport in enumerate(schedule.inports):
-            step_body.append(
-                f"    {names.stim(inport)} = inputs[{position}];"
-            )
-    else:
-        step_body.append("    (void)inputs;")
-    for index in schedule.env_pushes:
-        spec = schedule.buffers[index]
-        step_body.append(_push_stmt(spec, ref(spec.source)))
-    for pe_name in schedule.firing_order:
-        step_body.append(f"    {names.pe(pe_name)}();")
-    for index in schedule.env_pops:
-        step_body.append(_pop_stmt(schedule.buffers[index]))
-    if schedule.outports:
-        for position, value in enumerate(schedule.outport_refs):
-            expr = ref(value) if value is not None else "0.0"
-            step_body.append(f"    outputs[{position}] = {expr};")
-    else:
-        step_body.append("    (void)outputs;")
-
-    analysis = schedule.analysis
-    repetition = ", ".join(
-        f"{actor}:{count}"
-        for actor, count in sorted(analysis.repetition.items())
+    step_body = (
+        ([] if schedule.inports else ["    (void)inputs;"])
+        + lowered.step
+        + ([] if schedule.outports else ["    (void)outputs;"])
     )
+
     header_name = f"{name}.h"
     lines: List[str] = [
         f"/* {name}.c -- static-schedule realization of CAAM "
@@ -232,9 +93,8 @@ def generate_c(schedule: StaticSchedule) -> Dict[str, str]:
         " *",
         " * Periodic admissible sequential schedule (one call of "
         f"{name}_step()",
-        " * is one period): "
-        + " -> ".join(schedule.firing_order if schedule.firing_order else ("<empty>",)),
-        f" * Repetition vector: {repetition or '<empty>'}",
+        f" * is one period): {lowered.order}",
+        f" * Repetition vector: {lowered.repetition}",
         " * No malloc, no runtime scheduler; buffers are static rings",
         " * sized from the SDF analyzer's PASS bounds.",
         " *",
@@ -250,13 +110,13 @@ def generate_c(schedule: StaticSchedule) -> Dict[str, str]:
     lines.extend(signals or ["/* (none) */"])
     lines.append("")
     lines.append("/* -- block state -- */")
-    lines.extend(states or ["/* (stateless) */"])
+    lines.extend(lowered.states or ["/* (stateless) */"])
     lines.append("")
     lines.append("/* -- channel ring buffers -- */")
     lines.extend(buffer_decls or ["/* (no channels) */"])
     lines.append("")
     lines.append(f"void {name}_init(void) {{")
-    lines.extend(init_lines or ["    /* nothing to reset */"])
+    lines.extend(lowered.inits or ["    /* nothing to reset */"])
     lines.append("}")
     lines.append("")
     lines.extend(pe_functions)
@@ -293,149 +153,6 @@ def generate_c(schedule: StaticSchedule) -> Dict[str, str]:
         f"{name}.c": "\n".join(lines) + "\n",
         header_name: header,
     }
-
-
-def _pop_stmt(spec: BufferSpec) -> str:
-    n = spec.index
-    return (
-        f"    rb{n}_pop = rb{n}[rb{n}_head]; "
-        f"rb{n}_head = (rb{n}_head + 1) % {spec.capacity};"
-    )
-
-
-def _push_stmt(spec: BufferSpec, expr: str) -> str:
-    n = spec.index
-    return (
-        f"    rb{n}[rb{n}_tail] = {expr}; "
-        f"rb{n}_tail = (rb{n}_tail + 1) % {spec.capacity};"
-    )
-
-
-def block_statements(
-    block: Block, args: List[str], names: _Namer, d: Dialect
-) -> Tuple[List[str], List[str], List[str], List[str]]:
-    """One block firing: (output stmts, deferred updates, state decls, inits).
-
-    Every expression mirrors :mod:`repro.simulink.blocks` operation for
-    operation; see the module docstring for the contract.  Statements are
-    dialect-neutral except where :class:`Dialect` injects syntax, so the C
-    and Java realizations of a block are the same expression tree.
-    """
-    kind = block.block_type
-    out = names.signal(block)
-    p = block.parameters
-    num = d.double
-    if kind == "Constant":
-        return [f"    {out} = {num(p.get('Value', 0.0))};"], [], [], []
-    if kind == "Gain":
-        gain = num(p.get("Gain", 1.0))
-        return [f"    {out} = {gain} * {args[0]};"], [], [], []
-    if kind == "Sum":
-        signs = str(p.get("Inputs", "+" * len(args))).replace("|", "")
-        expr = "0.0"
-        for sign, arg in zip(signs, args):
-            expr += f" {'+' if sign == '+' else '-'} {arg}"
-        return [f"    {out} = {expr};"], [], [], []
-    if kind == "Product":
-        expr = " * ".join(args) if args else "1.0"
-        return [f"    {out} = {expr};"], [], [], []
-    if kind == "Saturation":
-        lo = num(p.get("LowerLimit", -1.0))
-        hi = num(p.get("UpperLimit", 1.0))
-        return (
-            [
-                "    {",
-                f"        double t = {args[0]} >= {lo} ? {args[0]} : {lo};",
-                f"        {out} = t <= {hi} ? t : {hi};",
-                "    }",
-            ],
-            [], [], [],
-        )
-    if kind == "Abs":
-        return [f"    {out} = {d.abs_fn}({args[0]});"], [], [], []
-    if kind == "UnitDelay":
-        state = names.state(block)
-        initial = num(p.get("InitialCondition", 0.0))
-        return (
-            [f"    {out} = {state};"],
-            # Commit after every signal of the PE is final (update phase).
-            [f"    {state} = {args[0]};"],
-            [d.decl_double(state, f"UnitDelay {block.path}")],
-            [f"    {state} = {initial};"],
-        )
-    if kind == "Relay":
-        state = names.state(block)
-        on_point = num(p.get("OnSwitchValue", 0.5))
-        off_point = num(p.get("OffSwitchValue", -0.5))
-        on_value = num(p.get("OnOutputValue", 1.0))
-        off_value = num(p.get("OffOutputValue", 0.0))
-        return (
-            [
-                f"    if ({state}) {{",
-                f"        if ({args[0]} <= {off_point}) "
-                f"{state} = {d.flag_false};",
-                f"    }} else if ({args[0]} >= {on_point}) "
-                f"{state} = {d.flag_true};",
-                f"    {out} = {state} ? {on_value} : {off_value};",
-            ],
-            [],
-            [d.decl_flag(state, f"Relay engaged {block.path}")],
-            [f"    {state} = {d.flag_false};"],
-        )
-    if kind == "Sin":
-        state = names.state(block)
-        amplitude = num(p.get("Amplitude", 1.0))
-        frequency = num(p.get("Frequency", 1.0))
-        phase = num(p.get("Phase", 0.0))
-        return (
-            [
-                f"    {out} = {amplitude} * {d.sin_fn}({frequency} * {state} "
-                f"+ {phase});",
-                f"    {state} = {state} + 1.0;",
-            ],
-            [],
-            [d.decl_double(state, f"Sin step counter {block.path}")],
-            [f"    {state} = 0.0;"],
-        )
-    if kind == "Step":
-        state = names.state(block)
-        step_time = num(p.get("Time", 1.0))
-        before = num(p.get("Before", 0.0))
-        after = num(p.get("After", 1.0))
-        return (
-            [
-                f"    {out} = {state} >= {step_time} ? {after} : {before};",
-                f"    {state} = {state} + 1.0;",
-            ],
-            [],
-            [d.decl_double(state, f"Step counter {block.path}")],
-            [f"    {state} = 0.0;"],
-        )
-    if kind == "S-Function":
-        callback = p.get("callback")
-        if callback is None:
-            # Placeholder semantics: sum of inputs on every output port.
-            expr = "0.0"
-            for arg in args:
-                expr += f" + {arg}"
-            stmts = [f"    {out} = {expr};"]
-            for port in range(2, _out_count(block) + 1):
-                stmts.append(f"    {names.signal(block, port)} = {out};")
-            return stmts, [], [], []
-        spec = getattr(callback, "codegen_spec", None)
-        if isinstance(spec, tuple) and spec and spec[0] == "affine":
-            a, b = num(spec[1]), num(spec[2])
-            return [f"    {out} = {a} * {args[0]} + {b};"], [], [], []
-        if isinstance(spec, tuple) and spec and spec[0] == "constant":
-            return [f"    {out} = {num(spec[1])};"], [], [], []
-        raise CodegenError(
-            f"S-Function {block.path!r}: unsupported codegen_spec {spec!r}"
-        )
-    if kind in ("Scope", "Terminator"):
-        return [f"    /* {kind} {block.path}: no value semantics */"], [], [], []
-    raise CodegenError(
-        f"no emission rule for block type {kind!r} ({block.path})"
-    )  # pragma: no cover - schedule validates SUPPORTED_TYPES first
 
 
 def _main_harness(name: str, macro: str) -> List[str]:

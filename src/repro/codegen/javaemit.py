@@ -7,12 +7,12 @@ single allocation-free class replaying the SDF analyzer's PASS — fixed
 ``double[]`` ring buffers, one private method per processing element, one
 ``step()`` per schedule period.
 
-The emitted expressions come from the same :func:`~repro.codegen.cemit.
-block_statements` code path as the C emitter, through
-:data:`JAVA_DIALECT`: Java accepts C99 hexadecimal floating literals
-(``0x1.8p+1``), underscore identifiers, ``{ ... }`` statement blocks and
-the ``?:`` operator, so the two backends share one statement skeleton per
-block and cannot drift apart semantically.  Java's arithmetic is
+The statements come from the same lowering as the C emitter
+(:func:`repro.codegen.lower.lower`), through :data:`JAVA_DIALECT`: Java
+accepts C99 hexadecimal floating literals (``0x1.8p+1``), underscore
+identifiers, ``{ ... }`` statement blocks and the ``?:`` operator, so the
+two backends render one kernel-table entry per block and cannot drift
+apart semantically; this module owns only the class layout.  Java's arithmetic is
 strictfp-equivalent for ``double`` on all supported JVMs (JEP 306), so
 the streams match the C program and the Python simulator bit for bit.
 
@@ -26,9 +26,9 @@ from __future__ import annotations
 from math import isinf, isnan
 from typing import Dict, List
 
-from .cemit import Dialect, _Namer, _out_count, _pop_stmt, _push_stmt, block_statements
 from .identifiers import camel, sanitize
-from .schedule import CodegenError, StaticSchedule, ValueRef
+from .lower import Dialect, lower
+from .schedule import StaticSchedule
 
 
 def java_double(value: float) -> str:
@@ -69,114 +69,34 @@ def class_name_for(schedule: StaticSchedule) -> str:
 def generate_java(schedule: StaticSchedule) -> Dict[str, str]:
     """Emit ``{"<Class>.java": source}`` for ``schedule``."""
     cls = class_name_for(schedule)
-    names = _Namer(schedule)
-
-    def ref(value: ValueRef) -> str:
-        if value.kind == "signal":
-            assert value.block is not None
-            if value.port > max(1, _out_count(value.block)):
-                raise CodegenError(
-                    f"block output {value.block.path!r}.out{value.port} is "
-                    f"consumed but never produced"
-                )
-            return names.signal(value.block, value.port)
-        if value.kind == "stim":
-            assert value.block is not None
-            return names.stim(value.block)
-        return f"rb{value.buffer_index}_pop"
-
-    signals: List[str] = []
-    states: List[str] = []
-    methods: List[str] = []
-    init_lines: List[str] = []
-
-    for inport in schedule.inports:
-        signals.append(f"    private double {names.stim(inport)};")
-
-    for pe in schedule.pes:
-        body: List[str] = []
-        updates: List[str] = []
-        for index in pe.pops:
-            body.append(_pop_stmt(schedule.buffers[index]))
-        for step in pe.blocks:
-            block = step.block
-            args = [ref(value) for value in step.inputs]
-            stmts, upd, decls, inits = block_statements(
-                block, args, names, JAVA_DIALECT
-            )
-            body.extend(stmts)
-            updates.extend(upd)
-            states.extend(decls)
-            init_lines.extend(inits)
-            for port in range(1, _out_count(block) + 1):
-                signals.append(
-                    f"    private double {names.signal(block, port)};"
-                )
-        for index in pe.pushes:
-            spec = schedule.buffers[index]
-            body.append(_push_stmt(spec, ref(spec.source)))
-        body.extend(updates)
-        if not body:
-            body.append("    /* no blocks scheduled on this PE */")
-        methods.append(
-            f"    private void {names.pe(pe.name)}() {{\n"
-            + "\n".join("    " + line for line in body)
-            + "\n    }"
-        )
-
+    lowered = lower(schedule, JAVA_DIALECT)
+    signals = [f"    private double {symbol};" for symbol in lowered.signals]
+    methods = [
+        f"    private void {pe}() {{\n"
+        + "\n".join("    " + line for line in body)
+        + "\n    }"
+        for pe, body in lowered.pes
+    ]
     buffer_decls: List[str] = []
-    for spec in schedule.buffers:
+    for spec, note in zip(schedule.buffers, lowered.buffer_notes):
         n = spec.index
         buffer_decls.append(
             f"    private final double[] rb{n} = "
-            f"new double[{spec.capacity}];"
-            f"  /* {spec.channel.path}"
-            + (f", {spec.delay} initial token(s)" if spec.delay else "")
-            + " */"
+            f"new double[{spec.capacity}];  {note}"
         )
         buffer_decls.append(
             f"    private int rb{n}_head; private int rb{n}_tail; "
             f"private double rb{n}_pop;"
         )
-        for position, token in enumerate(spec.initial):
-            init_lines.append(
-                f"    rb{n}[{position}] = {java_double(token)};"
-            )
-        init_lines.append(
-            f"    rb{n}_head = 0; rb{n}_tail = {spec.delay}; "
-            f"rb{n}_pop = 0.0;"
-        )
 
-    step_body: List[str] = []
-    for position, inport in enumerate(schedule.inports):
-        step_body.append(f"    {names.stim(inport)} = inputs[{position}];")
-    for index in schedule.env_pushes:
-        spec = schedule.buffers[index]
-        step_body.append(_push_stmt(spec, ref(spec.source)))
-    for pe_name in schedule.firing_order:
-        step_body.append(f"    {names.pe(pe_name)}();")
-    for index in schedule.env_pops:
-        step_body.append(_pop_stmt(schedule.buffers[index]))
-    for position, value in enumerate(schedule.outport_refs):
-        expr = ref(value) if value is not None else "0.0"
-        step_body.append(f"    outputs[{position}] = {expr};")
-
-    analysis = schedule.analysis
-    repetition = ", ".join(
-        f"{actor}:{count}"
-        for actor, count in sorted(analysis.repetition.items())
-    )
-    order = " -> ".join(
-        schedule.firing_order if schedule.firing_order else ("<empty>",)
-    )
     lines: List[str] = [
         f"/* {cls}.java -- static-schedule realization of CAAM "
         f"{schedule.name!r}.",
         " * Generated by repro.codegen; do not edit.",
         " *",
         " * Periodic admissible sequential schedule (one call of step()",
-        f" * is one period): {order}",
-        f" * Repetition vector: {repetition or '<empty>'}",
+        f" * is one period): {lowered.order}",
+        f" * Repetition vector: {lowered.repetition}",
         " * Allocation-free after construction; buffers are fixed arrays",
         " * sized from the SDF analyzer's PASS bounds.",
         " */",
@@ -191,7 +111,7 @@ def generate_java(schedule: StaticSchedule) -> Dict[str, str]:
     lines.extend(signals or ["    /* (none) */"])
     lines.append("")
     lines.append("    /* -- block state -- */")
-    lines.extend(states or ["    /* (stateless) */"])
+    lines.extend(lowered.states or ["    /* (stateless) */"])
     lines.append("")
     lines.append("    /* -- channel ring buffers -- */")
     lines.extend(buffer_decls or ["    /* (no channels) */"])
@@ -205,7 +125,7 @@ def generate_java(schedule: StaticSchedule) -> Dict[str, str]:
     )
     lines.append("    public void init() {")
     lines.extend(
-        ["    " + line for line in init_lines]
+        ["    " + line for line in lowered.inits]
         or ["        /* nothing to reset */"]
     )
     lines.append("    }")
@@ -216,7 +136,7 @@ def generate_java(schedule: StaticSchedule) -> Dict[str, str]:
         "    /** Execute one schedule period (one firing of every PE). */"
     )
     lines.append("    public void step(double[] inputs, double[] outputs) {")
-    lines.extend(["    " + line for line in step_body] or ["        ;"])
+    lines.extend(["    " + line for line in lowered.step] or ["        ;"])
     lines.append("    }")
     lines.append("")
     lines.extend(_java_main(cls))

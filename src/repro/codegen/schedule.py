@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.sdf import SdfAnalysis, analyze_graph, sdf_from_caam
+from ..simulink import kernels
 from ..simulink.caam import CaamModel, is_channel, is_thread_subsystem
 from ..simulink.model import Block, Port, flatten
 from ..simulink.simulator import AlgebraicLoopError, feedthrough_order
@@ -45,27 +46,6 @@ from ..simulink.simulator import AlgebraicLoopError, feedthrough_order
 
 class CodegenError(Exception):
     """The CAAM cannot be lowered to a static schedule (element named)."""
-
-
-#: Block types the emitters know how to render inside a PE step function.
-SUPPORTED_TYPES = frozenset(
-    {
-        "Constant",
-        "Gain",
-        "Sum",
-        "Product",
-        "Saturation",
-        "Abs",
-        "Relay",
-        "UnitDelay",
-        "S-Function",
-        "Sin",
-        "Step",
-        # Sinks without value semantics: scheduled but emitted as no-ops.
-        "Scope",
-        "Terminator",
-    }
-)
 
 
 @dataclass(frozen=True)
@@ -107,9 +87,11 @@ class BufferSpec:
 
 @dataclass
 class BlockStep:
-    """One block firing inside a PE step: the block plus resolved inputs."""
+    """One block firing inside a PE step: the block, its kernel-table
+    instance and its resolved inputs."""
 
     block: Block
+    kernel: kernels.Instance
     inputs: List[ValueRef] = field(default_factory=list)
 
 
@@ -402,14 +384,7 @@ def build_schedule(caam: CaamModel) -> StaticSchedule:
     for thread in threads:
         pe = PeSchedule(name=thread.name, cpu=cpu_of.get(thread.name, ""))
         for block in pe_blocks[thread.name]:
-            if block.block_type not in SUPPORTED_TYPES:
-                raise CodegenError(
-                    f"block {block.path!r} has unsupported type "
-                    f"{block.block_type!r}; the static-schedule emitters "
-                    f"support {', '.join(sorted(SUPPORTED_TYPES))}"
-                )
-            _validate_semantics(block)
-            step = BlockStep(block=block)
+            step = BlockStep(block=block, kernel=_emittable(block))
             sources = in_edges.get(block, {})
             for index in range(1, block.num_inputs + 1):
                 port = sources.get(index)
@@ -461,42 +436,18 @@ def build_schedule(caam: CaamModel) -> StaticSchedule:
     )
 
 
-def _validate_semantics(block: Block) -> None:
-    """Reject blocks whose parameters the emitters cannot reproduce."""
-    if block.block_type == "Sum":
-        signs = str(
-            block.parameters.get("Inputs", "+" * block.num_inputs)
-        ).replace("|", "")
-        if len(signs) != block.num_inputs or any(
-            s not in "+-" for s in signs
-        ):
-            raise CodegenError(
-                f"Sum block {block.path!r}: sign string {signs!r} does not "
-                f"match its {block.num_inputs} input(s)"
-            )
-    elif block.block_type == "S-Function":
-        callback = block.parameters.get("callback")
-        if callback is None:
-            return  # sum-of-inputs placeholder semantics are emittable
-        if block.parameters.get("Stateful"):
-            raise CodegenError(
-                f"S-Function {block.path!r} has an opaque stateful "
-                f"callback; static codegen needs declarative behaviour"
-            )
-        spec = getattr(callback, "codegen_spec", None)
-        if not _valid_callback_spec(spec, block.num_inputs):
-            raise CodegenError(
-                f"S-Function {block.path!r} carries a Python callback "
-                f"without a declarative codegen_spec; static codegen "
-                f"cannot translate opaque callables"
-            )
-
-
-def _valid_callback_spec(spec: object, num_inputs: int) -> bool:
-    if not isinstance(spec, tuple) or not spec:
-        return False
-    if spec[0] == "affine":
-        return len(spec) == 3 and num_inputs == 1
-    if spec[0] == "constant":
-        return len(spec) == 2 and num_inputs == 0
-    return False
+def _emittable(block: Block) -> kernels.Instance:
+    """``block``'s kernel-table instance; blocks outside the table's
+    code-emitting entries raise :class:`CodegenError`."""
+    entry = kernels.KERNELS.get(block.block_type)
+    if entry is None or not entry.code:
+        supported = sorted(t for t, k in kernels.KERNELS.items() if k.code)
+        raise CodegenError(
+            f"block {block.path!r} has unsupported type "
+            f"{block.block_type!r}; the static-schedule emitters "
+            f"support {', '.join(supported)}"
+        )
+    try:
+        return kernels.instance(block)
+    except kernels.Unsupported as exc:
+        raise CodegenError(str(exc)) from None

@@ -140,15 +140,13 @@ def _run_simulate(
     """Synthesize, then execute the CAAM over a batch of stimuli.
 
     The batch goes through :meth:`Simulator.run_many`, so one compiled
-    slot plan serves every episode; when NumPy is available (and neither
-    the spec's ``engine`` option nor ``REPRO_SIM_ENGINE`` overrides it)
-    the whole batch runs in one vectorized call on the ``batch`` engine,
+    slot plan serves every episode; when NumPy is available (and the
+    spec's ``engine`` option does not override it) the whole batch runs
+    in one vectorized call on the ``batch`` engine,
     whose output is bit-identical to the looped scalar path.  Results
     are returned as a JSON artifact with one entry per stimulus
     (outputs + monitored signals).
     """
-    import os
-
     from ..simulink import batch as libbatch
     from ..simulink.simulator import ENGINE_BATCH, Simulator
 
@@ -175,11 +173,7 @@ def _run_simulate(
     result = synthesize(model, **synth_options)
     _checkpoint(cancelled)
     engine = options.get("engine")
-    if (
-        engine is None
-        and os.environ.get("REPRO_SIM_ENGINE") is None
-        and libbatch.numpy_available()
-    ):
+    if engine is None and libbatch.numpy_available():
         engine = ENGINE_BATCH
     simulator = Simulator(result.caam, monitor=monitor, engine=engine)
     episodes = simulator.run_many(steps, stimuli)

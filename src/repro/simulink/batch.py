@@ -5,16 +5,17 @@ The scalar slot engine (PR 4) made one episode fast; this module makes a
 slot-compiled :class:`~repro.simulink.simulator.Simulator` plan to batched
 form: the flat per-episode ``values`` list becomes one ``(episodes,
 slots)`` float64 ndarray (Fortran order, so each signal slot is a
-contiguous column) and each specialized kernel becomes a single vectorized
-array op across the whole batch (:func:`repro.simulink.blocks.
-register_batch_kernel`).  Ragged per-episode stimuli are packed into a
+contiguous column) and each block type in the kernel table becomes
+vectorized array ops across the whole batch, rendered from the same table
+entry as the scalar closures (:func:`repro.simulink.kernels.numpy_kernel`).
+Ragged per-episode stimuli are packed into a
 zero-padded ``(episodes, steps)`` tensor plus an active-mask; the mask's
 column envelope bounds how long each Inport column still needs refreshing
 (one step past the longest stimulus the slot is 0.0 and stays 0.0, exactly
 the scalar engine's missing-sample rule).
 
-Blocks without a vectorized kernel — stateful S-functions, ``Sin``/``Step``
-sources, extension-library types, instances a factory declines — fall back
+Blocks without a vectorized kernel — opaque S-functions, ``Sin``/``Step``
+sources, extension-library types, instances their entry declines — fall back
 to a per-episode Python loop *inside* the batched step, so any model the
 scalar engine runs, the batch engine runs too, just with fewer blocks on
 the fast path.
@@ -30,39 +31,34 @@ callbacks — when several episodes would raise *different* data-dependent
 exceptions, the batch engine surfaces the earliest ``(step, episode)``
 error rather than the earliest episode's.
 
-Engine selection: ``Simulator(engine="batch")`` (or
-``REPRO_SIM_ENGINE=batch``) forces this path for every ``run_many``; the
-default ``slots`` engine auto-dispatches batches of at least
-``REPRO_SIM_BATCH_THRESHOLD`` episodes (default 16) when NumPy is
-importable.  Without NumPy the scalar engines keep working and requesting
-``batch`` raises :class:`BatchUnavailableError` with an actionable
-message.
+Engine selection: ``Simulator(engine="batch")`` forces this path for every
+``run_many``; the default ``slots`` engine auto-dispatches batches of at
+least :data:`~repro.simulink.simulator.BATCH_THRESHOLD` episodes when NumPy
+is importable.  Without NumPy the scalar engines keep working and
+requesting ``batch`` raises :class:`BatchUnavailableError` with an
+actionable message.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..obs import recorder as _obs
-from . import blocks as libblocks
+from . import kernels as libkernels
 from .simulator import (
+    ENGINE_BATCH,
     ENGINE_REFERENCE,
     SimulationError,
     SimulationResult,
     Simulator,
+    table_instance,
 )
 
 try:  # NumPy is an optional runtime dependency of this engine only.
     import numpy as _np
 except Exception:  # pragma: no cover - exercised via monkeypatch in tests
     _np = None
-
-#: Environment variable overriding the auto-dispatch threshold.
-BATCH_THRESHOLD_ENV = "REPRO_SIM_BATCH_THRESHOLD"
-#: Batches at least this large auto-dispatch under the ``slots`` engine.
-DEFAULT_BATCH_THRESHOLD = 16
 
 
 class BatchUnavailableError(SimulationError):
@@ -80,28 +76,13 @@ def require_numpy():
         raise BatchUnavailableError(
             "simulation engine 'batch' requires NumPy, which is not "
             "importable in this environment; install numpy (>= 1.22) or "
-            "select the scalar 'slots'/'reference' engines "
-            "(engine=... or REPRO_SIM_ENGINE)"
+            "select the scalar 'slots'/'reference' engines (engine=...)"
         )
     return _np
 
 
-def batch_threshold() -> int:
-    """Episode count at which ``slots`` hands ``run_many`` to this engine.
-
-    Reads ``REPRO_SIM_BATCH_THRESHOLD``; non-integer or negative values
-    fall back to the default.  ``0`` batches everything.
-    """
-    raw = os.environ.get(BATCH_THRESHOLD_ENV, "")
-    try:
-        value = int(raw)
-    except ValueError:
-        return DEFAULT_BATCH_THRESHOLD
-    return value if value >= 0 else DEFAULT_BATCH_THRESHOLD
-
-
 class _BindContext:
-    """Per-run binding context handed to batch-kernel ``bind`` callables."""
+    """Per-run binding context: the value array and the batch shape."""
 
     __slots__ = ("values", "episodes", "steps")
 
@@ -162,29 +143,25 @@ class BatchSimulator:
                 )
             )
             dynamic = sim._sp_writes.get(block) is None
-            factory = libblocks.batch_kernel_factory_for(block.block_type)
-            kernel = (
-                factory(block, src_slots, base)
-                if factory is not None and None not in keys
-                else None
-            )
-            if kernel is not None and dynamic and any(
-                needed > kernel.produced for needed, _ in checks
+            found = table_instance(block, keys, ENGINE_BATCH)
+            if found is not None and dynamic and any(
+                needed > found.kernel.produced for needed, _ in checks
             ):
                 # A consumer reads beyond what the kernel statically
                 # writes; the per-episode path raises the scalar engine's
                 # "internal scheduling error" at the right moment.
-                kernel = None
-            if kernel is not None:
-                ops.append(("vector", kernel.bind, state_index[block]))
+                found = None
+            if found is not None:
                 vectorized_count += 1
+                if block.block_type == "Scope":
+                    bind = _scope_recorder(src_slots[0])
+                elif found.kernel.output or found.kernel.update:
+                    bind = libkernels.numpy_kernel(found, src_slots, base)
+                else:
+                    continue  # a pure sink: nothing to execute
+                ops.append(("vector", bind, state_index[block]))
                 if dynamic:
-                    extra_static += kernel.produced
-                continue
-            if not dynamic and block.block_type in ("Outport", "Terminator"):
-                # Pure sinks: their slots stay 0.0, same as the scalar
-                # engine; nothing to execute.
-                vectorized_count += 1
+                    extra_static += found.kernel.produced
                 continue
             counter = len(write_counts)
             write_counts.append(0)
@@ -227,7 +204,7 @@ class BatchSimulator:
         for op in self._ops:
             if op[0] == "vector":
                 _tag, bind, index = op
-                output_fn, update_fn, snapshot = bind(np, ctx)
+                output_fn, update_fn, snapshot = bind(ctx)
                 if output_fn is not None:
                     out_fns.append(output_fn)
                 if update_fn is not None:
@@ -432,6 +409,24 @@ class BatchSimulator:
             )
             stim_ops.append((ctx.values[:, slot], tensor, limit))
         return stim_ops
+
+
+def _scope_recorder(src: int):
+    """Single-input Scope recording: engine code, it has no arithmetic."""
+
+    def bind(ctx: _BindContext):
+        column = ctx.values[:, src]
+        trace = _np.zeros((ctx.episodes, ctx.steps), order="F")
+
+        def update(k, trace=trace, column=column):
+            trace[:, k] = column
+
+        def snapshot(episode, trace=trace):
+            return trace[episode].tolist()
+
+        return None, update, snapshot
+
+    return bind
 
 
 def _bind_generic(

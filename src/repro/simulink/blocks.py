@@ -1,8 +1,9 @@
 """Block library semantics.
 
-Maps Simulink ``BlockType`` strings to executable behaviours so generated
-models can actually run in :mod:`repro.simulink.simulator`.  Each behaviour
-is a :class:`BlockSemantics` with:
+Maps Simulink ``BlockType`` strings to executable behaviours: the reference
+semantics every engine and emitter is differential-tested against, and the
+fallback for block types the kernel table (:mod:`repro.simulink.kernels`)
+does not cover.  Each behaviour is a :class:`BlockSemantics` with:
 
 - ``feedthrough``: whether outputs depend combinationally on current inputs
   (``False`` for stateful blocks like ``UnitDelay`` — they break cycles,
@@ -65,7 +66,7 @@ def _step_sum(block: Block, inputs: Sequence[Number], state: object):
         )
     total = 0.0
     for sign, value in zip(signs, inputs):
-        total += value if sign == "+" else -value
+        total = total + value if sign == "+" else total - value
     return [total], state
 
 
@@ -88,7 +89,10 @@ def _unit_delay_initial(block: Block) -> object:
 def _step_saturation(block: Block, inputs: Sequence[Number], state: object):
     lower = float(block.parameters.get("LowerLimit", -1.0))
     upper = float(block.parameters.get("UpperLimit", 1.0))
-    return [min(max(inputs[0], lower), upper)], state
+    # The C comparison order: NaN saturates to the lower limit and a
+    # signed-zero tie keeps the input.
+    clipped = inputs[0] if inputs[0] >= lower else lower
+    return [clipped if clipped <= upper else upper], state
 
 
 def _step_abs(block: Block, inputs: Sequence[Number], state: object):
@@ -181,7 +185,9 @@ def _step_sine(block: Block, inputs: Sequence[Number], state: object):
     frequency = float(block.parameters.get("Frequency", 1.0))
     phase = float(block.parameters.get("Phase", 0.0))
     t = float(state)
-    value = amplitude * math.sin(frequency * t + phase)
+    angle = frequency * t + phase
+    # C's sin() returns NaN for an infinite angle; math.sin raises.
+    value = amplitude * (math.sin(angle) if math.isfinite(angle) else math.nan)
     return [value], t + 1.0
 
 
@@ -273,558 +279,6 @@ register(
         default_inputs=0,
     )
 )
-
-
-# -- slot-kernel specialization ----------------------------------------------
-#
-# The slot-compiled simulator (:mod:`repro.simulink.simulator`) executes a
-# model as a flat list of closures reading/writing a dense ``values`` slot
-# array.  For the highest-traffic block types a *kernel factory* builds a
-# closure specialized to the block instance (parameters resolved, slot
-# indices bound) so the hot loop pays no parameter lookups, no input-list
-# allocation and no ``BlockSemantics.step`` dispatch.  Types without a
-# factory (or instances a factory declines, e.g. a Sum whose sign string
-# does not match its port count) fall back to the generic ``step`` contract
-# and stay bit-identical to the reference interpreter by construction.
-#
-# Factory signature::
-#
-#     factory(block, values, states, state_index, src_slots, out_base)
-#         -> (output_fn | None, update_fn | None) | None
-#
-# ``values`` is the shared slot list, ``states`` the per-block state list,
-# ``state_index`` the block's index into it, ``src_slots`` the tuple of
-# source slot indices for the block's inputs, and ``out_base`` the first
-# slot of the block's output range.  Returning ``None`` declines the
-# instance (generic fallback); otherwise each phase closure may be ``None``
-# when the block contributes nothing to that phase.
-
-KernelPair = Tuple[Optional[Callable[[], None]], Optional[Callable[[], None]]]
-
-_KERNEL_FACTORIES: Dict[str, Callable[..., Optional[KernelPair]]] = {}
-
-
-def register_kernel(
-    block_type: str, factory: Callable[..., Optional[KernelPair]]
-) -> None:
-    """Register a slot-kernel specialization for a block type."""
-    _KERNEL_FACTORIES[block_type] = factory
-
-
-def kernel_factory_for(
-    block_type: str,
-) -> Optional[Callable[..., Optional[KernelPair]]]:
-    """The registered kernel factory, or ``None`` (→ generic fallback)."""
-    return _KERNEL_FACTORIES.get(block_type)
-
-
-def _kernel_gain(block, values, states, state_index, src_slots, out_base):
-    gain = float(block.parameters.get("Gain", 1.0))
-    s, d = src_slots[0], out_base
-
-    def output(v=values, s=s, d=d, gain=gain):
-        v[d] = gain * v[s]
-
-    return output, None
-
-
-def _kernel_sum(block, values, states, state_index, src_slots, out_base):
-    signs = str(block.parameters.get("Inputs", "+" * len(src_slots)))
-    signs = signs.replace("|", "")
-    if len(signs) != len(src_slots):
-        return None  # generic fallback reports the mismatch at run time
-    d = out_base
-    if len(src_slots) == 2:
-        a, b = src_slots
-        # The leading 0.0 reproduces the reference accumulator exactly
-        # (including the sign of zero: 0.0 + -0.0 is 0.0, not -0.0).
-        if signs[0] == "+" and signs[1] == "+":
-            def output(v=values, a=a, b=b, d=d):
-                v[d] = 0.0 + v[a] + v[b]
-        elif signs[0] == "+":
-            def output(v=values, a=a, b=b, d=d):
-                v[d] = 0.0 + v[a] - v[b]
-        elif signs[1] == "+":
-            def output(v=values, a=a, b=b, d=d):
-                v[d] = 0.0 - v[a] + v[b]
-        else:
-            def output(v=values, a=a, b=b, d=d):
-                v[d] = 0.0 - v[a] - v[b]
-        return output, None
-    plus = tuple(sign == "+" for sign in signs)
-
-    def output(v=values, terms=tuple(zip(plus, src_slots)), d=d):
-        total = 0.0
-        for add, s in terms:
-            total += v[s] if add else -v[s]
-        v[d] = total
-
-    return output, None
-
-
-def _kernel_product(block, values, states, state_index, src_slots, out_base):
-    d = out_base
-    if len(src_slots) == 2:
-        a, b = src_slots
-
-        def output(v=values, a=a, b=b, d=d):
-            v[d] = v[a] * v[b]
-
-        return output, None
-
-    def output(v=values, srcs=src_slots, d=d):
-        result = 1.0
-        for s in srcs:
-            result *= v[s]
-        v[d] = result
-
-    return output, None
-
-
-def _kernel_saturation(block, values, states, state_index, src_slots, out_base):
-    lower = float(block.parameters.get("LowerLimit", -1.0))
-    upper = float(block.parameters.get("UpperLimit", 1.0))
-    s, d = src_slots[0], out_base
-
-    def output(v=values, s=s, d=d, lower=lower, upper=upper):
-        v[d] = min(max(v[s], lower), upper)
-
-    return output, None
-
-
-def _kernel_abs(block, values, states, state_index, src_slots, out_base):
-    s, d = src_slots[0], out_base
-
-    def output(v=values, s=s, d=d):
-        v[d] = abs(v[s])
-
-    return output, None
-
-
-def _kernel_copy(block, values, states, state_index, src_slots, out_base):
-    """Pass-through kernel (CommChannel transport)."""
-    s, d = src_slots[0], out_base
-
-    def output(v=values, s=s, d=d):
-        v[d] = v[s]
-
-    return output, None
-
-
-def _kernel_constant(block, values, states, state_index, src_slots, out_base):
-    value = float(block.parameters.get("Value", 0.0))
-    d = out_base
-
-    def output(v=values, d=d, value=value):
-        v[d] = value
-
-    return output, None
-
-
-def _kernel_unit_delay(block, values, states, state_index, src_slots, out_base):
-    s, d, i = src_slots[0], out_base, state_index
-
-    def output(v=values, st=states, i=i, d=d):
-        v[d] = st[i]
-
-    def update(v=values, st=states, i=i, s=s):
-        # float() mirrors the reference step for exotic producers that
-        # write non-float values into the slot array.
-        st[i] = float(v[s])
-
-    return output, update
-
-
-def _kernel_relay(block, values, states, state_index, src_slots, out_base):
-    on_point = float(block.parameters.get("OnSwitchValue", 0.5))
-    off_point = float(block.parameters.get("OffSwitchValue", -0.5))
-    on_value = float(block.parameters.get("OnOutputValue", 1.0))
-    off_value = float(block.parameters.get("OffOutputValue", 0.0))
-    s, d, i = src_slots[0], out_base, state_index
-
-    def output(
-        v=values, st=states, i=i, s=s, d=d,
-        on_point=on_point, off_point=off_point,
-        on_value=on_value, off_value=off_value,
-    ):
-        engaged = bool(st[i])
-        value = v[s]
-        if engaged and value <= off_point:
-            engaged = False
-        elif not engaged and value >= on_point:
-            engaged = True
-        v[d] = on_value if engaged else off_value
-        st[i] = engaged
-
-    return output, None
-
-
-def _kernel_scope(block, values, states, state_index, src_slots, out_base):
-    if len(src_slots) != 1:
-        return None  # multi-input scopes record tuples; keep the generic path
-    s, i = src_slots[0], state_index
-
-    def update(v=values, st=states, i=i, s=s):
-        st[i].append(v[s])
-
-    return None, update
-
-
-register_kernel("Gain", _kernel_gain)
-register_kernel("Sum", _kernel_sum)
-register_kernel("Product", _kernel_product)
-register_kernel("Saturation", _kernel_saturation)
-register_kernel("Abs", _kernel_abs)
-register_kernel("CommChannel", _kernel_copy)
-register_kernel("Constant", _kernel_constant)
-register_kernel("UnitDelay", _kernel_unit_delay)
-register_kernel("Relay", _kernel_relay)
-register_kernel("Scope", _kernel_scope)
-
-
-# -- batch-kernel specialization ---------------------------------------------
-#
-# The vectorized batch engine (:mod:`repro.simulink.batch`) executes a whole
-# episode batch at once: the flat per-episode ``values`` list becomes one
-# ``(episodes, slots)`` float64 ndarray and each specialized kernel becomes a
-# single array op across the batch.  A *batch kernel factory* mirrors the
-# scalar factory above but binds twice: once at compile time (parameters,
-# slot indices) and once per run (episode count, the concrete arrays)::
-#
-#     factory(block, src_slots, out_base) -> BatchKernel | None
-#     BatchKernel.bind(np, ctx) -> (output_fn | None, update_fn | None,
-#                                   snapshot | None)
-#
-# ``ctx`` carries ``values`` (the 2-D slot array), ``episodes`` and
-# ``steps``; the per-step callables take the step index ``k``.  ``snapshot``
-# (for stateful kernels) maps an episode index to the scalar engine's state
-# object so the batch engine can expose scope histories and leave the
-# wrapped simulator in the same post-run state as the scalar loop.
-# ``BatchKernel.produced`` is the static output-phase write count, which the
-# batch engine checks against every consumer before trusting the kernel.
-#
-# Exactness contract: every vectorized op replays the scalar kernel's IEEE
-# operations in the same order (note the ``0.0`` accumulator seeds and the
-# ``where``-based min/max that reproduce Python's ``min``/``max``/``NaN``
-# and sign-of-zero behaviour), so batched results are bit-identical to the
-# scalar slot engine — the differential property the zoo harness and the
-# hypothesis suite enforce.  Factories decline (return ``None``) in exactly
-# the cases the scalar factories do, falling back to the per-episode
-# generic path.
-
-
-class BatchKernel:
-    """A compile-time batch specialization: static write count + binder."""
-
-    __slots__ = ("produced", "bind")
-
-    def __init__(self, produced: int, bind: Callable) -> None:
-        self.produced = produced
-        self.bind = bind
-
-
-_BATCH_KERNEL_FACTORIES: Dict[str, Callable[..., Optional[BatchKernel]]] = {}
-
-
-def register_batch_kernel(
-    block_type: str, factory: Callable[..., Optional[BatchKernel]]
-) -> None:
-    """Register a vectorized batch kernel for a block type."""
-    _BATCH_KERNEL_FACTORIES[block_type] = factory
-
-
-def batch_kernel_factory_for(
-    block_type: str,
-) -> Optional[Callable[..., Optional[BatchKernel]]]:
-    """The registered batch factory, or ``None`` (→ per-episode fallback)."""
-    return _BATCH_KERNEL_FACTORIES.get(block_type)
-
-
-def _batch_gain(block, src_slots, out_base):
-    gain = float(block.parameters.get("Gain", 1.0))
-    s, d = src_slots[0], out_base
-
-    def bind(np, ctx):
-        src = ctx.values[:, s]
-        dst = ctx.values[:, d]
-
-        def output(k, np=np, src=src, dst=dst, gain=gain):
-            np.multiply(src, gain, out=dst)
-
-        return output, None, None
-
-    return BatchKernel(1, bind)
-
-
-def _batch_sum(block, src_slots, out_base):
-    signs = str(block.parameters.get("Inputs", "+" * len(src_slots)))
-    signs = signs.replace("|", "")
-    if len(signs) != len(src_slots):
-        return None  # generic fallback reports the mismatch at run time
-    plus = tuple(sign == "+" for sign in signs)
-    d = out_base
-
-    def bind(np, ctx):
-        terms = tuple(
-            (add, ctx.values[:, s]) for add, s in zip(plus, src_slots)
-        )
-        dst = ctx.values[:, d]
-
-        def output(k, np=np, dst=dst, terms=terms):
-            # Seeding with 0.0 and accumulating term by term replays the
-            # reference accumulator exactly (0.0 + -0.0 is 0.0, and IEEE
-            # subtraction is addition of the negation bit-for-bit).
-            dst.fill(0.0)
-            for add, col in terms:
-                if add:
-                    np.add(dst, col, out=dst)
-                else:
-                    np.subtract(dst, col, out=dst)
-
-        return output, None, None
-
-    return BatchKernel(1, bind)
-
-
-def _batch_product(block, src_slots, out_base):
-    d = out_base
-
-    def bind(np, ctx):
-        cols = tuple(ctx.values[:, s] for s in src_slots)
-        dst = ctx.values[:, d]
-        if len(cols) == 2:
-            a, b = cols
-
-            def output(k, np=np, a=a, b=b, dst=dst):
-                np.multiply(a, b, out=dst)
-
-        else:
-
-            def output(k, np=np, cols=cols, dst=dst):
-                dst.fill(1.0)
-                for col in cols:
-                    np.multiply(dst, col, out=dst)
-
-        return output, None, None
-
-    return BatchKernel(1, bind)
-
-
-def _batch_saturation(block, src_slots, out_base):
-    lower = float(block.parameters.get("LowerLimit", -1.0))
-    upper = float(block.parameters.get("UpperLimit", 1.0))
-    s, d = src_slots[0], out_base
-
-    def bind(np, ctx):
-        src = ctx.values[:, s]
-        dst = ctx.values[:, d]
-
-        def output(k, np=np, src=src, dst=dst, lower=lower, upper=upper):
-            # where() mirrors Python's min(max(x, lower), upper): the
-            # input wins every comparison a NaN poisons, and the sign of
-            # zero follows the scalar tie-breaking exactly.
-            clipped = np.where(lower > src, lower, src)
-            dst[:] = np.where(upper < clipped, upper, clipped)
-
-        return output, None, None
-
-    return BatchKernel(1, bind)
-
-
-def _batch_abs(block, src_slots, out_base):
-    s, d = src_slots[0], out_base
-
-    def bind(np, ctx):
-        src = ctx.values[:, s]
-        dst = ctx.values[:, d]
-
-        def output(k, np=np, src=src, dst=dst):
-            np.absolute(src, out=dst)
-
-        return output, None, None
-
-    return BatchKernel(1, bind)
-
-
-def _batch_copy(block, src_slots, out_base):
-    """Pass-through batch kernel (CommChannel transport)."""
-    s, d = src_slots[0], out_base
-
-    def bind(np, ctx):
-        src = ctx.values[:, s]
-        dst = ctx.values[:, d]
-
-        def output(k, np=np, src=src, dst=dst):
-            np.copyto(dst, src)
-
-        return output, None, None
-
-    return BatchKernel(1, bind)
-
-
-def _batch_constant(block, src_slots, out_base):
-    value = float(block.parameters.get("Value", 0.0))
-    d = out_base
-
-    def bind(np, ctx):
-        # The slot never changes over a run: fill it once at bind time.
-        ctx.values[:, d] = value
-        return None, None, None
-
-    return BatchKernel(1, bind)
-
-
-def _batch_unit_delay(block, src_slots, out_base):
-    initial = float(block.parameters.get("InitialCondition", 0.0))
-    s, d = src_slots[0], out_base
-
-    def bind(np, ctx):
-        st = np.full(ctx.episodes, initial)
-        src = ctx.values[:, s]
-        dst = ctx.values[:, d]
-
-        def output(k, np=np, st=st, dst=dst):
-            np.copyto(dst, st)
-
-        def update(k, np=np, st=st, src=src):
-            np.copyto(st, src)
-
-        def snapshot(episode, st=st):
-            return float(st[episode])
-
-        return output, update, snapshot
-
-    return BatchKernel(1, bind)
-
-
-def _batch_relay(block, src_slots, out_base):
-    on_point = float(block.parameters.get("OnSwitchValue", 0.5))
-    off_point = float(block.parameters.get("OffSwitchValue", -0.5))
-    on_value = float(block.parameters.get("OnOutputValue", 1.0))
-    off_value = float(block.parameters.get("OffOutputValue", 0.0))
-    s, d = src_slots[0], out_base
-
-    def bind(np, ctx):
-        engaged = np.zeros(ctx.episodes, dtype=bool)
-        src = ctx.values[:, s]
-        dst = ctx.values[:, d]
-
-        def output(
-            k, np=np, engaged=engaged, src=src, dst=dst,
-            on_point=on_point, off_point=off_point,
-            on_value=on_value, off_value=off_value,
-        ):
-            # engaged' = engaged ? not(value <= off) : (value >= on) —
-            # both comparisons are False for NaN, matching the scalar
-            # hysteresis branch exactly.
-            np.copyto(
-                engaged,
-                np.where(engaged, ~(src <= off_point), src >= on_point),
-            )
-            dst[:] = np.where(engaged, on_value, off_value)
-
-        def snapshot(episode, engaged=engaged):
-            return bool(engaged[episode])
-
-        return output, None, snapshot
-
-    return BatchKernel(1, bind)
-
-
-def _batch_scope(block, src_slots, out_base):
-    if len(src_slots) != 1:
-        return None  # multi-input scopes record tuples; keep the generic path
-    s = src_slots[0]
-
-    def bind(np, ctx):
-        src = ctx.values[:, s]
-        trace = np.zeros((ctx.episodes, ctx.steps), order="F")
-
-        def update(k, trace=trace, src=src):
-            trace[:, k] = src
-
-        def snapshot(episode, trace=trace):
-            return trace[episode].tolist()
-
-        return None, update, snapshot
-
-    return BatchKernel(0, bind)
-
-
-def _batch_sfunction(block, src_slots, out_base):
-    """Vectorize the declarative S-function cases.
-
-    The ``codegen_spec`` attribute is the same declarative mirror the C
-    backend (:mod:`repro.codegen`) trusts: a stateless callback annotated
-    ``("affine", a, b)`` computes exactly ``a * x + b`` and ``("constant",
-    c)`` exactly ``c``, so the batch op replays the same IEEE operations.
-    Callback-less placeholders sum their inputs.  Anything else (stateful,
-    tuple-returning, unannotated) falls back to the per-episode path.
-    """
-    if block.parameters.get("Stateful"):
-        return None
-    callback = block.parameters.get("callback")
-    if callback is None:
-        produced = max(1, block.num_outputs)
-
-        def bind(np, ctx, produced=produced):
-            cols = tuple(ctx.values[:, s] for s in src_slots)
-            dsts = tuple(
-                ctx.values[:, out_base + j] for j in range(produced)
-            )
-
-            def output(k, np=np, cols=cols, dsts=dsts):
-                acc = dsts[0]
-                acc.fill(0.0)
-                for col in cols:
-                    np.add(acc, col, out=acc)
-                for dst in dsts[1:]:
-                    np.copyto(dst, acc)
-
-            return output, None, None
-
-        return BatchKernel(produced, bind)
-    spec = getattr(callback, "codegen_spec", None)
-    if not isinstance(spec, tuple) or not spec:
-        return None
-    if spec[0] == "affine" and len(spec) == 3 and len(src_slots) == 1:
-        a = float(spec[1])
-        b = float(spec[2])
-        s = src_slots[0]
-
-        def bind(np, ctx, a=a, b=b, s=s):
-            src = ctx.values[:, s]
-            dst = ctx.values[:, out_base]
-
-            def output(k, np=np, src=src, dst=dst, a=a, b=b):
-                np.multiply(src, a, out=dst)
-                np.add(dst, b, out=dst)
-
-            return output, None, None
-
-        return BatchKernel(1, bind)
-    if spec[0] == "constant" and len(spec) == 2 and not src_slots:
-        c = float(spec[1])
-
-        def bind(np, ctx, c=c):
-            ctx.values[:, out_base] = c
-            return None, None, None
-
-        return BatchKernel(1, bind)
-    return None
-
-
-register_batch_kernel("Gain", _batch_gain)
-register_batch_kernel("Sum", _batch_sum)
-register_batch_kernel("Product", _batch_product)
-register_batch_kernel("Saturation", _batch_saturation)
-register_batch_kernel("Abs", _batch_abs)
-register_batch_kernel("CommChannel", _batch_copy)
-register_batch_kernel("Constant", _batch_constant)
-register_batch_kernel("UnitDelay", _batch_unit_delay)
-register_batch_kernel("Relay", _batch_relay)
-register_batch_kernel("Scope", _batch_scope)
-register_batch_kernel("S-Function", _batch_sfunction)
 
 
 #: Platform-library method names recognized by the mapping (paper §4.1).

@@ -15,25 +15,27 @@ Three execution engines share the schedule (see ``docs/performance.md``):
 
 - ``"slots"`` (default) — a compile-once plan assigns every signal
   ``(block, port)`` a dense integer slot in one preallocated flat list and
-  binds each block to a closure that reads/writes slots directly;
-  high-traffic types get specialized kernels, everything else falls back
-  to the generic :class:`~repro.simulink.blocks.BlockSemantics` contract.
-  ``run_many`` transparently hands large batches to the ``batch`` engine
-  when NumPy is importable (threshold: ``REPRO_SIM_BATCH_THRESHOLD``).
+  binds each block to a closure that reads/writes slots directly.  Block
+  types in the kernel table (:mod:`repro.simulink.kernels`) get closures
+  compiled from their table entry; everything else falls back to the
+  generic :class:`~repro.simulink.blocks.BlockSemantics` contract.
+  ``run_many`` transparently hands batches of at least
+  :data:`BATCH_THRESHOLD` episodes to the ``batch`` engine when NumPy is
+  importable.
 - ``"batch"`` — the slot plan lowered across a whole episode batch: one
   ``(episodes, slots)`` float64 ndarray replaces the per-episode flat
-  list and every specialized kernel becomes a single vectorized array op
+  list and every table-driven block becomes vectorized array ops
   (:mod:`repro.simulink.batch`; requires NumPy).
-- ``"reference"`` — the original per-step dict interpreter, kept verbatim
-  as the oracle the differential tests compare against.
+- ``"reference"`` — the per-step dict interpreter over the hand-written
+  ``step`` functions, kept as the oracle the differential tests compare
+  against.
 
-All engines produce bit-identical results; select with the ``engine=``
-argument or the ``REPRO_SIM_ENGINE`` environment variable.
+All engines produce bit-identical results; select one with the ``engine=``
+argument.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -41,37 +43,18 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..obs import recorder as _obs
 from . import blocks as libblocks
+from . import kernels as libkernels
 from .model import Block, Port, SimulinkError, SimulinkModel, flatten
 
-#: Engine names accepted by :class:`Simulator` and ``REPRO_SIM_ENGINE``.
+#: Engine names accepted by :class:`Simulator`.
 ENGINE_SLOTS = "slots"
 ENGINE_BATCH = "batch"
 ENGINE_REFERENCE = "reference"
 ENGINES = (ENGINE_SLOTS, ENGINE_BATCH, ENGINE_REFERENCE)
 
-#: Output-phase sample count per step for block types whose write pattern
-#: is statically known (either a specialized kernel or a fixed-arity
-#: ``step``).  Types absent here produce a runtime-determined number of
-#: samples (S-Functions, extension blocks) and carry a per-step check.
-_STATIC_WRITES = {
-    "Gain": 1,
-    "Sum": 1,
-    "Product": 1,
-    "Saturation": 1,
-    "Abs": 1,
-    "CommChannel": 1,
-    "Constant": 1,
-    "UnitDelay": 1,
-    "Relay": 1,
-    "Scope": 0,
-    "Outport": 1,
-    "Terminator": 0,
-}
-
-
-def default_engine() -> str:
-    """The engine used when ``Simulator(engine=None)``: env var or slots."""
-    return os.environ.get("REPRO_SIM_ENGINE", ENGINE_SLOTS) or ENGINE_SLOTS
+#: ``run_many`` batches at least this large go to the ``batch`` engine
+#: under the default ``slots`` engine.
+BATCH_THRESHOLD = 16
 
 
 class SimulationError(SimulinkError):
@@ -203,8 +186,7 @@ class Simulator:
         ``"slots"`` (compiled, default), ``"batch"`` (the slot plan
         vectorized across episode batches; requires NumPy) or
         ``"reference"`` (the original interpreter, kept as the
-        differential-test oracle).  ``None`` reads ``REPRO_SIM_ENGINE``
-        and falls back to ``"slots"``.
+        differential-test oracle).  ``None`` means ``"slots"``.
     """
 
     def __init__(
@@ -215,7 +197,7 @@ class Simulator:
     ) -> None:
         self.model = model
         self.monitor = list(monitor or [])
-        self.engine = engine or default_engine()
+        self.engine = engine or ENGINE_SLOTS
         if self.engine not in ENGINES:
             raise SimulationError(
                 f"unknown simulation engine {self.engine!r}; "
@@ -337,14 +319,16 @@ class Simulator:
         states: List[object] = [None] * len(self._order)
         state_index = {block: i for i, block in enumerate(self._order)}
 
-        # Static output-phase write counts: kernels write a fixed number
-        # of slots; generic records report theirs per step (``None``).
+        # Static output-phase write counts: table entries this engine
+        # runs write a fixed number of slots; generic records report
+        # theirs per step (``None``).
         writes: Dict[Block, Optional[int]] = {}
         for block, kind, semantics, keys in self._plan:
+            entry = libkernels.KERNELS.get(block.block_type)
             if kind == 0:
                 writes[block] = 1
             else:
-                writes[block] = _STATIC_WRITES.get(block.block_type)
+                writes[block] = entry.produced if entry and entry.slots else None
 
         # Gather-site census in reference chronological order: the output
         # phase visits kind-1 records in plan order, then the update phase
@@ -434,32 +418,22 @@ class Simulator:
                 for key in keys
             )
             index = state_index[block]
-            factory = libblocks.kernel_factory_for(block.block_type)
-            pair = (
-                factory(block, values, states, index, src_slots, base)
-                if factory is not None and None not in keys
-                else None
-            )
-            if pair is not None:
-                output_fn, update_fn = pair
+            found = table_instance(block, keys, ENGINE_SLOTS)
+            if found is not None:
+                if block.block_type == "Scope":
+                    output_fn, update_fn = None, _scope_recorder(
+                        values, states, index, src_slots[0]
+                    )
+                else:
+                    output_fn, update_fn = libkernels.python_kernel(
+                        found, values, states, index, src_slots, base
+                    )
                 if output_fn is not None:
                     out_fns.append(output_fn)
                 if update_fn is not None:
                     upd_fns.append(update_fn)
                 specialized += 1
-                static_census += _STATIC_WRITES.get(block.block_type, 1)
-                continue
-            produced = writes.get(block)
-            if produced is not None and libblocks.kernel_factory_for(
-                block.block_type
-            ) is None and block.block_type in ("Outport", "Terminator"):
-                # Outport/Terminator sinks compute nothing: the reference
-                # engine's output-phase write is always 0.0 (zeros in,
-                # identity out) and its update phase only re-gathers, which
-                # the compile-time census above already covers.  Their
-                # slots stay at the 0.0 the array was initialized with.
-                static_census += produced
-                specialized += 1
+                static_census += writes[block] or 0
                 continue
             generic += 1
             slot_cap = max(block.num_outputs, 1, consumed_max[block])
@@ -590,8 +564,8 @@ class Simulator:
         Batches are handed to the vectorized ``batch`` engine
         (:mod:`repro.simulink.batch`) when that engine was selected
         explicitly, or — under the default ``slots`` engine — when the
-        batch is at least ``REPRO_SIM_BATCH_THRESHOLD`` episodes and
-        NumPy is importable.  The batched path is bit-identical to the
+        batch is at least :data:`BATCH_THRESHOLD` episodes and NumPy is
+        importable.  The batched path is bit-identical to the
         loop it replaces.
         """
         batch = self._batch_engine_for(len(stimuli))
@@ -643,7 +617,7 @@ class Simulator:
         from . import batch as libbatch
 
         if self.engine != ENGINE_BATCH:
-            if episodes < libbatch.batch_threshold():
+            if episodes < BATCH_THRESHOLD:
                 return None
             if not libbatch.numpy_available():
                 return None
@@ -818,6 +792,37 @@ class Simulator:
                     f"{block.path!r}"
                 ) from None
         return gathered
+
+
+def table_instance(
+    block: Block, keys: Sequence[object], engine: str
+) -> Optional[libkernels.Instance]:
+    """The kernel-table instance ``engine`` (``"slots"`` or ``"batch"``)
+    runs ``block`` by, or ``None`` for the generic path.
+
+    Statement-free sinks (Outport, Terminator) compile to nothing: their
+    slots stay at 0.0 and the compile-time census already covers the
+    reads their update phase would re-gather, so they need no connected
+    input.  Single-input Scopes record through engine code; multi-input
+    scopes record tuples on the generic path.
+    """
+    entry = libkernels.KERNELS.get(block.block_type)
+    if entry is None or not getattr(entry, engine):
+        return None
+    found = libkernels.try_instance(block)
+    if found is None:
+        return None
+    if block.block_type == "Scope":
+        return found if len(keys) == 1 and None not in keys else None
+    kernel = found.kernel
+    return None if (kernel.output or kernel.update) and None in keys else found
+
+
+def _scope_recorder(values, states, index, src):
+    def record(v=values, st=states, i=index, s=src):
+        st[i].append(v[s])
+
+    return record
 
 
 def _generic_output(

@@ -1,5 +1,6 @@
 """Bit-identity of generated C/Java against the slot simulator (needs a toolchain)."""
 
+import math
 import shutil
 import subprocess
 import tempfile
@@ -14,6 +15,7 @@ from repro.codegen import (
 from repro.codegen.cemit import generate_c
 from repro.codegen.differential import (
     DifferentialError,
+    _same,
     _stimulus_lines,
     compile_c,
     run_binary,
@@ -28,6 +30,14 @@ needs_cc = pytest.mark.skipif(
     and shutil.which("clang") is None,
     reason="no C compiler on PATH",
 )
+#: Non-finite crane stimuli: NaN reaches the Saturation limiter, ±inf
+#: drives the controller into overflow, -0.0 probes signed-zero ties.
+NON_FINITE = [
+    {"In1": [math.nan, 0.5, math.inf, -0.0] * 25},
+    {"In2": [math.inf, -math.inf] * 50, "In3": [math.nan] * 100},
+    {"In1": [-math.inf] * 100, "In3": [-0.0, math.inf] * 50},
+]
+
 needs_javac = pytest.mark.skipif(
     shutil.which("javac") is None or shutil.which("java") is None,
     reason="no JDK on PATH",
@@ -43,7 +53,11 @@ class TestCompilerDiscovery:
 @needs_cc
 class TestCraneDifferential:
     def test_crane_c_is_bit_identical(self, crane_result):
-        episodes = [{}, {"In1": [0.5] * 100}, {"In2": [1.0, -1.0] * 50}]
+        episodes = [
+            {},
+            {"In1": [0.5] * 100},
+            {"In2": [1.0, -1.0] * 50},
+        ] + NON_FINITE
         report = differential_check(crane_result.caam, episodes, steps=100)
         assert report.ok, [str(m) for m in report.mismatches]
         assert report.samples == len(episodes) * 100
@@ -85,9 +99,14 @@ class TestCraneJavaDifferential:
         subprocess.run(
             ["javac", name], cwd=tmp_path, check=True, capture_output=True
         )
-        episodes = [{}, {"In1": [0.25] * 50}]
+        episodes = [{}, {"In1": [0.25] * 50}] + NON_FINITE
         steps = 50
-        stdin = _stimulus_lines(schedule, episodes, steps)
+        # Java's parseDouble spells the non-finite values out.
+        java_tokens = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+        stdin = "\n".join(
+            " ".join(java_tokens.get(token, token) for token in line.split())
+            for line in _stimulus_lines(schedule, episodes, steps).split("\n")
+        )
         proc = subprocess.run(
             ["java", name[: -len(".java")]],
             cwd=tmp_path,
@@ -107,4 +126,6 @@ class TestCraneJavaDifferential:
                 tokens = lines[cursor].split()
                 cursor += 1
                 for port, token in zip(out_names, tokens):
-                    assert float.fromhex(token) == episode.outputs[port][step]
+                    assert _same(
+                        float.fromhex(token), episode.outputs[port][step]
+                    ), (port, step, token)

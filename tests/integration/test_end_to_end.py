@@ -5,7 +5,7 @@ import pytest
 from repro.apps import crane, didactic, synthetic
 from repro.backends import DesignFlow, JavaBackend, KpnBackend, SimulinkBackend
 from repro.core import synthesize
-from repro.mpsoc import generate_all, platform_for_caam, schedule_caam
+from repro.mpsoc import platform_for_caam, schedule_caam
 from repro.simulink import Simulator, from_ecore_string, from_mdl, is_executable
 from repro.uml import from_xmi_string, to_xmi_string
 
@@ -54,11 +54,6 @@ class TestHeterogeneousFanOut:
         assert "crane.mdl" in artifacts["simulink"]
         assert "T3Thread.java" in artifacts["java"]
         assert "crane.kpn.dot" in artifacts["kpn"]
-
-    def test_caam_feeds_mpsoc_codegen(self, didactic_result):
-        sources = generate_all(didactic_result.caam)
-        assert len(sources) == 2
-        assert all("rt_scheduler_run" in s for s in sources.values())
 
     def test_caam_feeds_mpsoc_scheduler(self, didactic_result):
         platform = platform_for_caam(didactic_result.caam)

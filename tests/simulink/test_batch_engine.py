@@ -23,6 +23,8 @@ from repro.simulink import (
     numpy_available,
 )
 from repro.simulink import batch as libbatch
+from repro.simulink import simulator as simulator_module
+from repro.simulink.simulator import BATCH_THRESHOLD
 
 requires_numpy = pytest.mark.skipif(
     not numpy_available(), reason="requires NumPy"
@@ -136,12 +138,12 @@ RAGGED = [
 class TestDispatch:
     def test_slots_engine_loops_below_threshold(self):
         simulator = Simulator(_stateful_model(), engine=ENGINE_SLOTS)
-        simulator.run_many(3, [None] * (libbatch.batch_threshold() - 1))
+        simulator.run_many(3, [None] * (BATCH_THRESHOLD - 1))
         assert simulator._batch_sim is None
 
     def test_slots_engine_batches_at_threshold(self):
         simulator = Simulator(_stateful_model(), engine=ENGINE_SLOTS)
-        simulator.run_many(3, [None] * libbatch.batch_threshold())
+        simulator.run_many(3, [None] * BATCH_THRESHOLD)
         assert simulator._batch_sim is not None
 
     def test_batch_engine_batches_any_size(self):
@@ -151,21 +153,14 @@ class TestDispatch:
 
     def test_reference_engine_never_batches(self):
         simulator = Simulator(_stateful_model(), engine=ENGINE_REFERENCE)
-        simulator.run_many(3, [None] * (libbatch.batch_threshold() + 4))
+        simulator.run_many(3, [None] * (BATCH_THRESHOLD + 4))
         assert simulator._batch_sim is None
 
-    def test_threshold_env_override(self, monkeypatch):
-        monkeypatch.setenv(libbatch.BATCH_THRESHOLD_ENV, "2")
-        assert libbatch.batch_threshold() == 2
+    def test_threshold_override(self, monkeypatch):
+        monkeypatch.setattr(simulator_module, "BATCH_THRESHOLD", 2)
         simulator = Simulator(_stateful_model(), engine=ENGINE_SLOTS)
         simulator.run_many(3, [None, None])
         assert simulator._batch_sim is not None
-
-    def test_threshold_env_garbage_falls_back_to_default(self, monkeypatch):
-        monkeypatch.setenv(libbatch.BATCH_THRESHOLD_ENV, "many")
-        assert libbatch.batch_threshold() == libbatch.DEFAULT_BATCH_THRESHOLD
-        monkeypatch.setenv(libbatch.BATCH_THRESHOLD_ENV, "-3")
-        assert libbatch.batch_threshold() == libbatch.DEFAULT_BATCH_THRESHOLD
 
     def test_single_run_uses_scalar_path(self):
         batch = Simulator(_stateful_model(), engine=ENGINE_BATCH)

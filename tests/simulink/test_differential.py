@@ -211,11 +211,9 @@ class TestBatchEngineDifferential:
         model, steps, stimuli, monitor = case
         # Pad the batch past the dispatch threshold so the plain slots
         # engine takes the vectorized path on its own.
-        from repro.simulink import batch as libbatch
+        from repro.simulink.simulator import BATCH_THRESHOLD
 
-        stimuli = (stimuli * libbatch.batch_threshold())[
-            : libbatch.batch_threshold() + 1
-        ]
+        stimuli = (stimuli * BATCH_THRESHOLD)[: BATCH_THRESHOLD + 1]
         dispatched = Simulator(
             model, monitor=monitor, engine=ENGINE_SLOTS
         )

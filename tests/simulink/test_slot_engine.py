@@ -23,7 +23,6 @@ from repro.simulink import (
     SimulinkModel,
     SubSystem,
     UnconnectedInputError,
-    default_engine,
     run_model,
 )
 
@@ -50,18 +49,7 @@ def _accumulator_model():
 
 class TestEngineSelection:
     def test_default_engine_is_slots(self):
-        assert default_engine() == ENGINE_SLOTS
         assert Simulator(_accumulator_model()).engine == ENGINE_SLOTS
-
-    def test_env_var_selects_reference(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "reference")
-        assert default_engine() == ENGINE_REFERENCE
-        assert Simulator(_accumulator_model()).engine == ENGINE_REFERENCE
-
-    def test_explicit_engine_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_ENGINE", "reference")
-        simulator = Simulator(_accumulator_model(), engine=ENGINE_SLOTS)
-        assert simulator.engine == ENGINE_SLOTS
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(SimulationError) as excinfo:
