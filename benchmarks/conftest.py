@@ -640,10 +640,10 @@ def pytest_sessionfinish(session, exitstatus):
         "synthesize_crane_s": total("bench.synthesize.crane"),
         "synthesize_mjpeg_s": total("bench.synthesize.mjpeg"),
         "parallel": parallel_stats,
-        "server": server_stats,
-        # Hoisted for tools/validate_trace.py --bench and the ROADMAP's
-        # SLO trajectory: declared targets vs observed percentiles per
-        # benchmarked queue depth.
+        # The server's SLO figures are written once, as the top-level
+        # "slo" section that tools/validate_trace.py --bench checks:
+        # declared targets vs observed percentiles per queue depth.
+        "server": {k: v for k, v in server_stats.items() if k != "slo"},
         "slo": server_stats.get("slo", {}),
         "zoo": zoo_stats,
         "analysis": analysis_stats,

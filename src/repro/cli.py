@@ -72,9 +72,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from . import obs
+
+if TYPE_CHECKING:
+    from .obs.slo import SloEngine
 
 
 class CliError(Exception):
@@ -444,10 +447,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         job_timeout_s=args.job_timeout,
         retry=RetryPolicy(max_retries=args.max_retries),
         journal_path=args.journal,
-        # --slo-config (global or post-subcommand) was resolved into an
-        # engine on the ambient recorder by main(); default targets
-        # otherwise (JobManager falls back internally on None).
-        slo=getattr(obs.get(), "slo_engine", None),
+        slo=_engine_from_slo_config(args),
     ).start()
     try:
         server = make_server(manager, host=args.host, port=args.port)
@@ -491,6 +491,20 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
+def _engine_from_slo_config(args: argparse.Namespace) -> "SloEngine":
+    """The ``--slo-config`` targets (global or after the subcommand),
+    else the server defaults."""
+    from .obs.slo import SloEngine, default_server_targets
+
+    slo_config = getattr(args, "slo_config", None)
+    try:
+        if slo_config:
+            return SloEngine.from_config(slo_config)
+        return SloEngine(default_server_targets())
+    except (OSError, ValueError) as exc:
+        raise CliError(f"bad SLO config: {exc}") from exc
+
+
 def _scrape_slo(base_url: str) -> dict:
     """Fetch ``<base>/slo`` from a running server (stdlib urllib only)."""
     import json
@@ -516,8 +530,6 @@ def _cmd_slo_report(args: argparse.Namespace) -> int:
     """Summarize SLO attainment from a live server or a metrics file."""
     import json
 
-    from .obs.slo import SloEngine, default_server_targets
-
     if bool(args.metrics) == bool(args.url):
         raise CliError(
             "pick exactly one source: --metrics FILE.json or --url BASE"
@@ -537,16 +549,7 @@ def _cmd_slo_report(args: argparse.Namespace) -> int:
         snapshot = raw.get("metrics") if isinstance(raw.get("metrics"), dict) else raw
         if not isinstance(snapshot, dict):
             raise CliError(f"{args.metrics} is not a metrics snapshot")
-        slo_config = getattr(args, "slo_config", None)
-        try:
-            engine = (
-                SloEngine.from_config(slo_config)
-                if slo_config
-                else SloEngine(default_server_targets())
-            )
-        except (OSError, ValueError) as exc:
-            raise CliError(f"bad SLO config: {exc}") from exc
-        document = engine.evaluate_snapshot(snapshot)
+        document = _engine_from_slo_config(args).evaluate_snapshot(snapshot)
     if args.json:
         print(json.dumps(document, indent=2))
     else:
@@ -710,8 +713,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--slo-config",
         metavar="FILE.json",
         help=(
-            "declare SLO targets (availability, latency percentiles); "
-            "evaluated into reports, /slo, and slo.* gauges"
+            "declare SLO targets (availability, latency percentiles) for "
+            "serve's /slo and slo.* gauges, and for slo-report"
         ),
     )
     parser.add_argument(
@@ -1126,16 +1129,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     elif args.cache_dir:
         parallel_cache.configure(enabled=True, directory=args.cache_dir)
     recorder = obs.Recorder()
-    if getattr(args, "slo_config", None) and args.command != "slo-report":
-        from .obs.slo import SloEngine
-
-        try:
-            engine = SloEngine.from_config(args.slo_config)
-        except (OSError, ValueError) as exc:
-            print(f"error: bad SLO config: {exc}", file=sys.stderr)
-            return 2
-        engine.attach(recorder.metrics)
-        recorder.slo_engine = engine
     try:
         with obs.use(recorder):
             try:

@@ -139,7 +139,7 @@ class SynthesisResult:
         self._graph_blob: Optional[bytes] = None
         self._mdl: Optional[str] = None
         self._graph_read = False
-        #: Per-run observability data: census always, spans/metrics when a
+        #: Per-run observability data: census always, spans when a
         #: recorder was active (see :mod:`repro.obs`).
         self.obs = obs if obs is not None else ObservabilityReport()
 
@@ -158,8 +158,8 @@ class SynthesisResult:
     def _cache_entry(self) -> Tuple[str, ObservabilityReport, bytes]:
         """``(mdl text, obs report, pickled graph)`` for the cache.
 
-        The stored report keeps only the census: spans, metrics and SLO
-        figures describe one run, and a hit reports its own.
+        The stored report keeps only the census: spans and the cache
+        verdict describe one run, and a hit reports its own.
         """
         return (
             self.mdl_text,
@@ -489,20 +489,16 @@ def _finish_report(
 ) -> ObservabilityReport:
     """Complete a census-only report with this run's data.
 
-    ``parallel`` (the cache verdict) is always filled; spans and the
-    metrics snapshot only when a live recorder captured them.
+    ``parallel`` (the cache verdict) is always filled; spans only when a
+    live recorder captured them.  Counters and timers stay in
+    ``rec.metrics``, their one home: copying the registry into every
+    report costs more the longer a recorder lives.
     """
     report.parallel = dict(parallel)
-    if not rec.enabled:
-        return report
-    # A recorder carrying an SLO engine (repro --slo-config, or one set
-    # programmatically) gets the run's targets evaluated into the report;
-    # publish=True lands the slo.* gauges in the snapshot taken below.
-    engine = getattr(rec, "slo_engine", None)
-    if engine is not None:
-        report.slo = engine.evaluate(rec.metrics, publish=True)
-    report.spans = [s for s in rec.spans[span_start:] if s.end_wall is not None]
-    report.metrics = rec.metrics.to_dict()
+    if rec.enabled:
+        report.spans = [
+            s for s in rec.spans[span_start:] if s.end_wall is not None
+        ]
     return report
 
 

@@ -465,24 +465,3 @@ def _schedule_tables(
         for successor, cost in out_delays.get(label, ()):
             earliest[successor] = max(earliest[successor], end + cost)
     return max(finish.values(), default=0.0)
-
-
-def _list_schedule(
-    graph: TaskGraph,
-    plan: DeploymentPlan,
-    duration: Dict[str, float],
-    delays: Dict[Tuple[str, str], float],
-) -> float:
-    """Compatibility wrapper: schedule via the per-graph table cache.
-
-    ``duration`` must cover every graph node (as :func:`estimate_allocation`
-    always provided); super-node durations are recomputed from it rather
-    than the per-unit cache, since arbitrary callers may pass arbitrary
-    durations.
-    """
-    tables = _tables_for(graph)
-    super_duration = {
-        label: sum(duration[m] for m in group)
-        for label, group in tables.members.items()
-    }
-    return _schedule_tables(tables, super_duration, plan, delays)

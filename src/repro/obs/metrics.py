@@ -113,17 +113,7 @@ class HistogramStat:
         ``q`` outside [0, 1] is clamped to the nearest bound — never an
         index error, never an extrapolation past the observed min/max.
         """
-        if not self._samples:
-            return 0.0
-        ordered = sorted(self._samples)
-        if len(ordered) == 1:
-            return ordered[0]
-        q = min(1.0, max(0.0, q))
-        position = q * (len(ordered) - 1)
-        lower = int(position)
-        upper = min(lower + 1, len(ordered) - 1)
-        fraction = position - lower
-        return ordered[lower] * (1.0 - fraction) + ordered[upper] * fraction
+        return _interpolate(sorted(self._samples), q)
 
     def fraction_over(self, threshold: float) -> float:
         """Fraction of reservoir samples strictly above ``threshold``.
@@ -139,17 +129,35 @@ class HistogramStat:
         return over / len(self._samples)
 
     def to_dict(self) -> Dict[str, float]:
-        """The aggregate (with p50/p95/p99) as a JSON-ready mapping."""
+        """The aggregate (with p50/p95/p99) as a JSON-ready mapping.
+
+        The reservoir is sorted once for all three percentiles.
+        """
+        ordered = sorted(self._samples)
         return {
             "count": self.count,
             "total": self.total,
             "min": self.min if self.count else 0.0,
             "max": self.max,
             "mean": self.mean,
-            "p50": self.percentile(0.50),
-            "p95": self.percentile(0.95),
-            "p99": self.percentile(0.99),
+            "p50": _interpolate(ordered, 0.50),
+            "p95": _interpolate(ordered, 0.95),
+            "p99": _interpolate(ordered, 0.99),
         }
+
+
+def _interpolate(ordered: List[float], q: float) -> float:
+    """The ``q``-quantile of already-sorted samples (see ``percentile``)."""
+    if not ordered:
+        return 0.0
+    if len(ordered) == 1:
+        return ordered[0]
+    q = min(1.0, max(0.0, q))
+    position = q * (len(ordered) - 1)
+    lower = int(position)
+    upper = min(lower + 1, len(ordered) - 1)
+    fraction = position - lower
+    return ordered[lower] * (1.0 - fraction) + ordered[upper] * fraction
 
 
 class _Timer:

@@ -149,9 +149,8 @@ class NullRecorder:
     #: Shared registry kept empty — lets generic code read ``rec.metrics``.
     metrics = MetricsRegistry()
     spans: List[Span] = []
-    #: No observability session, hence no trace identity / SLO engine.
+    #: No observability session, hence no trace identity.
     trace_id: Optional[str] = None
-    slo_engine: Optional[Any] = None
 
     def span(self, name: str, category: str = "", **attrs: Any) -> _NullSpan:
         """Return the shared no-op span handle."""
@@ -216,9 +215,6 @@ class Recorder:
         self.spans: List[Span] = []
         #: One id per observability session; stamped on correlated logs.
         self.trace_id = trace_id or uuid.uuid4().hex[:16]
-        #: Optional :class:`repro.obs.slo.SloEngine` evaluated into
-        #: :attr:`ObservabilityReport.slo` by the synthesis flow.
-        self.slo_engine: Optional[Any] = None
         self._lock = threading.Lock()
         self._tls = threading.local()
         self._next_id = 1

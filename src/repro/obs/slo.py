@@ -30,9 +30,10 @@ failures ages out of the burn rate after ``window_s`` seconds instead of
 haunting the cumulative ratio forever.  Before the window fills, the
 delta is taken from process start — the conservative reading.
 
-Consumers: ``GET /slo`` on the batch server, ``repro slo-report``,
-``ObservabilityReport.slo``, and the ``"slo"`` section of
-``BENCH_obs.json``.  The document schema is validated by
+Consumers: ``GET /slo`` on the batch server, ``repro slo-report``, and
+the ``"slo"`` section of ``BENCH_obs.json``.  Windows advance only when
+the engine is evaluated: the server does so on ``/slo`` scrapes and at
+shutdown, never per job.  The document schema is validated by
 ``tools/validate_trace.py --slo`` and documented in
 ``docs/observability.md``.
 """
@@ -195,37 +196,6 @@ def default_server_targets() -> List[SloTarget]:
         )
     )
     return targets
-
-
-def default_flow_targets() -> List[SloTarget]:
-    """Pipeline-stage SLOs for a library/CLI synthesis run.
-
-    Latency-only bounds on the flow's stage timers; the engine registers
-    the stage names for percentile tracking when attached, so the same
-    timers that feed ``--metrics-out`` become SLO sources.
-    """
-    return [
-        SloTarget(
-            name="synthesize",
-            source="flow.synthesize",
-            p50_s=1.0,
-            p95_s=5.0,
-            p99_s=15.0,
-            description="end-to-end synthesis: p95 under 5s",
-        ),
-        SloTarget(
-            name="map",
-            source="flow.map",
-            p95_s=2.0,
-            description="platform mapping stage: p95 under 2s",
-        ),
-        SloTarget(
-            name="explore",
-            source="dse.explore",
-            p95_s=10.0,
-            description="design-space exploration: p95 under 10s",
-        ),
-    ]
 
 
 @dataclass

@@ -140,15 +140,15 @@ def _run_simulate(
     """Synthesize, then execute the CAAM over a batch of stimuli.
 
     The batch goes through :meth:`Simulator.run_many`, so one compiled
-    slot plan serves every episode; when NumPy is available (and the
-    spec's ``engine`` option does not override it) the whole batch runs
-    in one vectorized call on the ``batch`` engine,
-    whose output is bit-identical to the looped scalar path.  Results
-    are returned as a JSON artifact with one entry per stimulus
+    slot plan serves every episode and ``run_many``'s size rule picks
+    the engine: batches of at least
+    :data:`~repro.simulink.simulator.BATCH_THRESHOLD` episodes run in one
+    vectorized call on the ``batch`` engine, bit-identical to the looped
+    scalar path; the spec's ``engine`` option overrides the rule.
+    Results are returned as a JSON artifact with one entry per stimulus
     (outputs + monitored signals).
     """
-    from ..simulink import batch as libbatch
-    from ..simulink.simulator import ENGINE_BATCH, Simulator
+    from ..simulink.simulator import Simulator
 
     options = dict(spec.options)
     steps = options.get("steps", 100)
@@ -172,10 +172,9 @@ def _run_simulate(
     }
     result = synthesize(model, **synth_options)
     _checkpoint(cancelled)
-    engine = options.get("engine")
-    if engine is None and libbatch.numpy_available():
-        engine = ENGINE_BATCH
-    simulator = Simulator(result.caam, monitor=monitor, engine=engine)
+    simulator = Simulator(
+        result.caam, monitor=monitor, engine=options.get("engine")
+    )
     episodes = simulator.run_many(steps, stimuli)
     _checkpoint(cancelled)
     episodes_doc = [

@@ -36,7 +36,8 @@ An :class:`~repro.obs.slo.SloEngine` (default:
 :func:`~repro.obs.slo.default_server_targets`) evaluates availability
 and latency targets against the same registry; ``GET /slo`` serves
 :meth:`JobManager.slo_report` and the published ``slo.*`` gauges enrich
-``/metrics``.
+``/metrics``.  Jobs never evaluate the engine: its rolling windows move
+forward only on ``/slo`` scrapes and at shutdown.
 """
 
 from __future__ import annotations
@@ -116,7 +117,6 @@ class JobManager:
         )
         self.slo = slo or SloEngine(default_server_targets())
         self.slo.attach(self._rec.metrics)
-        self._rec.slo_engine = self.slo
         # Root anchor for job spans: the span open on the constructing
         # thread (under `repro serve` that is the `cli.serve` span), so
         # the whole serving session exports as one rooted tree.

@@ -41,10 +41,8 @@ actionable message.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..obs import recorder as _obs
 from . import kernels as libkernels
 from .simulator import (
     ENGINE_BATCH,
@@ -257,39 +255,10 @@ class BatchSimulator:
 
         Bit-identical to ``[fresh-reset run(steps, s) for s in stimuli]``
         on the scalar slot engine, including the error discipline and the
-        wrapped simulator's post-run state.
+        wrapped simulator's post-run state.  Observability is
+        :meth:`Simulator.run_many`'s: its ``simulink.run_many`` span and
+        ``simulink.sim.*`` counters account for the batch once.
         """
-        rec = _obs.get()
-        if not rec.enabled:
-            return self._run_batch(steps, stimuli)
-        start = time.perf_counter()
-        with rec.span(
-            "sim.batch.run",
-            category="sim",
-            model=self._sim.model.name,
-            episodes=len(stimuli),
-            steps=steps,
-            vectorized_blocks=self.vectorized_blocks,
-            generic_blocks=self.generic_blocks,
-        ) as span:
-            results = self._run_batch(steps, stimuli)
-        elapsed = time.perf_counter() - start
-        total = steps * len(stimuli)
-        rate = total / elapsed if elapsed > 0 else 0.0
-        rec.incr("sim.batch.runs")
-        rec.incr("sim.batch.episodes", len(stimuli))
-        rec.incr("sim.batch.steps", total)
-        rec.gauge("sim.batch.steps_per_sec", rate)
-        rec.gauge("sim.batch.vectorized_blocks", self.vectorized_blocks)
-        rec.gauge("sim.batch.generic_blocks", self.generic_blocks)
-        span.set(steps_per_sec=round(rate, 1))
-        return results
-
-    def _run_batch(
-        self,
-        steps: int,
-        stimuli: Sequence[Optional[Mapping[str, Sequence[float]]]],
-    ) -> List[SimulationResult]:
         np = self._np
         sim = self._sim
         if not stimuli:

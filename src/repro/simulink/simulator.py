@@ -488,22 +488,20 @@ class Simulator:
 
     # -- execution --------------------------------------------------------------
     def reset(self) -> None:
-        """Reset all block states to their initial values."""
-        self._state = {}
-        for block in self._blocks:
-            if libblocks.has_semantics(block.block_type):
-                semantics = libblocks.semantics_for(block.block_type)
-                self._state[block] = semantics.initial_state(block)
-            else:
-                self._state[block] = None
-        if self.engine != ENGINE_REFERENCE:
-            states = self._sp_states
-            for block, index in self._sp_state_index.items():
-                if libblocks.has_semantics(block.block_type):
-                    semantics = libblocks.semantics_for(block.block_type)
-                    states[index] = semantics.initial_state(block)
-                else:
-                    states[index] = None
+        """Reset the running engine's block states to their initial values.
+
+        The reference interpreter keeps a per-block dict, the slot engines
+        (and the batch engine, which reads the slot states) a flat list;
+        only the one this simulator runs on is filled.
+        """
+        if self.engine == ENGINE_REFERENCE:
+            self._state = {
+                block: _initial_state(block) for block in self._blocks
+            }
+            return
+        states = self._sp_states
+        for block, index in self._sp_state_index.items():
+            states[index] = _initial_state(block)
 
     def run(
         self,
@@ -589,6 +587,10 @@ class Simulator:
             batched=batch is not None,
         ) as span:
             if batch is not None:
+                span.set(
+                    vectorized_blocks=batch.vectorized_blocks,
+                    generic_blocks=batch.generic_blocks,
+                )
                 results = batch.run_many(steps, stimuli)
             else:
                 results = []
@@ -792,6 +794,13 @@ class Simulator:
                     f"{block.path!r}"
                 ) from None
         return gathered
+
+
+def _initial_state(block: Block) -> object:
+    """A block's initial state (``None`` for types without semantics)."""
+    if libblocks.has_semantics(block.block_type):
+        return libblocks.semantics_for(block.block_type).initial_state(block)
+    return None
 
 
 def table_instance(

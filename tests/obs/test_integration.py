@@ -15,7 +15,11 @@ from repro.simulink import Simulator
 sys.path.insert(
     0, os.path.join(os.path.dirname(__file__), "..", "..", "tools")
 )
-from validate_trace import validate_metrics, validate_trace  # noqa: E402
+from validate_trace import (  # noqa: E402
+    validate_metrics,
+    validate_span_tree,
+    validate_trace,
+)
 
 FLOW_STEPS = (
     "flow.validate",
@@ -60,14 +64,22 @@ class TestSynthesisReport:
         assert links and all(link.span_id in span_ids for link in links)
 
     def test_metrics_contain_documented_families(self):
-        with obs.use(obs.Recorder()):
-            result = synthesize(
-                crane.build_model(), behaviors=crane.behaviors()
-            )
-        validate_metrics(result.obs.metrics)
-        counters = result.obs.metrics["counters"]
+        with obs.use(obs.Recorder()) as rec:
+            synthesize(crane.build_model(), behaviors=crane.behaviors())
+        metrics = rec.metrics.to_dict()
+        validate_metrics(metrics)
+        counters = metrics["counters"]
         assert counters["flow.synthesize.calls"] == 1
         assert counters["optimize.barriers.inserted"] == 1
+        # Each fact has one name: mapping.rule.* counts rule output, and
+        # no transform.rule.* twin counts the same applications again.
+        assert any(name.startswith("mapping.rule.") for name in counters)
+        assert not [n for n in counters if n.startswith("transform.rule.")]
+
+    def test_report_holds_only_per_run_facts(self):
+        with obs.use(obs.Recorder()):
+            result = synthesize(crane.build_model())
+        assert set(result.obs.to_dict()) == {"census", "spans", "parallel"}
 
     def test_trace_store_stats_and_json(self):
         result = synthesize(crane.build_model(), behaviors=crane.behaviors())
@@ -78,6 +90,63 @@ class TestSynthesisReport:
         assert sum(stats["links_per_rule"].values()) == stats["links"]
         document = json.loads(store.to_json())
         assert len(document["trace"]) == stats["links"]
+
+
+class _Spy:
+    """Counts calls to one method while delegating to the original."""
+
+    def __init__(self, monkeypatch, owner, name):
+        self.calls = 0
+        original = getattr(owner, name)
+
+        def spy(*args, **kwargs):
+            self.calls += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+
+
+class TestReportCopiesNothingFromTheRecorder:
+    """A long-lived recorder is read where it lives, never per run.
+
+    The server case: a recorder whose registry has filled and whose SLO
+    engine is attached (by a JobManager).  A synthesis under it must
+    neither snapshot the registry nor evaluate the engine, hit or miss.
+    """
+
+    @pytest.fixture()
+    def served_recorder(self):
+        from repro.obs.slo import SloEngine, default_server_targets
+        from repro.parallel import cache
+        from repro.server import JobManager
+
+        state = cache.snapshot()
+        cache.configure(enabled=True)
+        rec = obs.Recorder()
+        for value in range(2048):
+            rec.hist("server.job.latency", value / 1000.0)
+        JobManager(recorder=rec, slo=SloEngine(default_server_targets()))
+        yield rec
+        cache.restore(state)
+
+    @pytest.mark.parametrize("status", ["miss", "hit"])
+    def test_synthesize_neither_snapshots_nor_evaluates(
+        self, served_recorder, monkeypatch, status
+    ):
+        from repro.obs.metrics import MetricsRegistry
+        from repro.obs.slo import SloEngine
+
+        if status == "hit":
+            with obs.use(served_recorder):
+                synthesize(crane.build_model())  # warm the cache
+        snapshots = _Spy(monkeypatch, MetricsRegistry, "to_dict")
+        evaluations = _Spy(monkeypatch, SloEngine, "evaluate")
+        with obs.use(served_recorder):
+            result = synthesize(crane.build_model())
+        assert result.obs.parallel["cache"]["status"] == status
+        assert result.obs.recorded
+        assert snapshots.calls == 0
+        assert evaluations.calls == 0
 
 
 class TestSimulatorMetrics:
@@ -184,6 +253,35 @@ class TestCliObservabilityFlags:
         out = capsys.readouterr().out
         assert f"wrote {trace_path}" in out
         assert f"wrote {metrics_path}" in out
+
+    def test_cold_and_cache_hit_runs_validate(self, crane_xmi, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        for run, status in (("cold", "miss"), ("warm", "hit")):
+            trace_path = tmp_path / f"{run}.trace.json"
+            metrics_path = tmp_path / f"{run}.metrics.json"
+            code = main(
+                [
+                    "--cache-dir",
+                    cache_dir,
+                    "--trace-out",
+                    str(trace_path),
+                    "--metrics-out",
+                    str(metrics_path),
+                    "synthesize",
+                    crane_xmi,
+                    "-o",
+                    str(tmp_path / f"{run}.mdl"),
+                ]
+            )
+            assert code == 0
+            trace = json.loads(trace_path.read_text())
+            validate_trace(trace)
+            validate_span_tree(trace)
+            (lookup,) = [
+                e for e in trace["traceEvents"] if e["name"] == "flow.cache"
+            ]
+            assert lookup["args"]["status"] == status
+            validate_metrics(json.loads(metrics_path.read_text()))
 
     def test_flags_absent_write_no_files(self, crane_xmi, tmp_path, capsys):
         out = tmp_path / "c.mdl"

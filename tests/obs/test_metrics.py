@@ -131,3 +131,30 @@ class TestHistogramEdgeCases:
         assert doc["min"] == 0.0
         assert doc["p50"] == 0.0
         assert doc["p99"] == 0.0
+
+    def test_to_dict_sorts_once_and_matches_percentile(self, monkeypatch):
+        import random
+
+        from repro.obs import metrics as metrics_module
+
+        hist = HistogramStat(reservoir=256)
+        rng = random.Random(11)
+        for _ in range(1000):
+            hist.observe(rng.expovariate(3.0))
+        expected = {
+            "p50": hist.percentile(0.50),
+            "p95": hist.percentile(0.95),
+            "p99": hist.percentile(0.99),
+        }
+        calls = []
+
+        def counting_sorted(values):
+            calls.append(len(values))
+            return sorted(values)
+
+        monkeypatch.setattr(
+            metrics_module, "sorted", counting_sorted, raising=False
+        )
+        doc = hist.to_dict()
+        assert calls == [256]
+        assert {key: doc[key] for key in expected} == expected

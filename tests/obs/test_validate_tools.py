@@ -12,6 +12,7 @@ from validate_trace import (  # noqa: E402
     main,
     validate_bench_slo,
     validate_bench_zoo,
+    validate_metrics,
     validate_slo,
     validate_span_tree,
 )
@@ -86,6 +87,62 @@ class TestSpanTree:
             ]
         }
         validate_span_tree(document)
+
+
+def metrics_document(timers=(), counters=()):
+    stat = {"count": 1, "total": 0.1, "min": 0.1, "max": 0.1, "mean": 0.1}
+    return {
+        "counters": {name: 1.0 for name in counters},
+        "gauges": {},
+        "timers": {name: dict(stat) for name in timers},
+    }
+
+
+MISS_TIMERS = (
+    "flow.synthesize",
+    "flow.map",
+    "flow.optimize",
+    "optimize.channels",
+    "optimize.barriers",
+)
+MISS_COUNTERS = ("mapping.rule.thread2subsystem", "optimize.channels.intra")
+
+
+class TestMetricsValidator:
+    @pytest.mark.parametrize(
+        "hit", ["cache.synthesize.hit", "cache.synthesize.hit_disk"]
+    )
+    def test_cache_hit_accepted(self, hit):
+        timers = ("cli.synthesize", "flow.cache")
+        validate_metrics(metrics_document(timers, (hit,)))
+
+    def test_cache_hit_needs_lookup_timer(self):
+        with pytest.raises(ValueError, match="flow.cache"):
+            validate_metrics(
+                metrics_document(counters=("cache.synthesize.hit",))
+            )
+
+    def test_cold_run_accepted(self):
+        validate_metrics(metrics_document(MISS_TIMERS, MISS_COUNTERS))
+
+    def test_miss_keeps_every_requirement(self):
+        timers = ("flow.cache",) + MISS_TIMERS[1:]
+        counters = ("cache.synthesize.miss",) + MISS_COUNTERS
+        with pytest.raises(ValueError, match="flow.synthesize"):
+            validate_metrics(metrics_document(timers, counters))
+
+    def test_hit_plus_miss_needs_the_flow_keys(self):
+        counters = ("cache.synthesize.hit", "cache.synthesize.miss")
+        with pytest.raises(ValueError, match="flow.synthesize"):
+            validate_metrics(metrics_document(("flow.cache",), counters))
+
+    def test_neither_hit_nor_flow_rejected(self):
+        with pytest.raises(ValueError, match="flow.synthesize"):
+            validate_metrics(
+                metrics_document(
+                    ("cli.synthesize",), ("flow.synthesize.calls",)
+                )
+            )
 
 
 class TestSloValidator:

@@ -10,12 +10,14 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.apps import didactic
 from repro.core.flow import FlowError, synthesize
 from repro.server import JobManager, JobSpec, JobState, SpecError
 from repro.server.executor import execute
 from repro.server.jobs import SIMULATE_OPTIONS
 from repro.simulink import Simulator, numpy_available
+from repro.simulink.simulator import BATCH_THRESHOLD
 
 from .test_manager import wait_for
 
@@ -104,11 +106,9 @@ class TestSimulateDifferential:
             assert job.outcome.artifact_name.endswith(".sim.json")
             assert json.loads(job.outcome.artifact_text) == expected
             assert job.outcome.payload["episodes"] == 2
-            # With NumPy in the environment the job defaults to the
-            # vectorized batch engine; the artifact equality above pins
-            # it byte-for-byte against the looped library run.
-            expected_engine = "batch" if numpy_available() else "slots"
-            assert job.outcome.payload["engine"] == expected_engine
+            # No engine pinned: the simulator's default, whose run_many
+            # batches by size alone (two episodes stay on the scalar loop).
+            assert job.outcome.payload["engine"] == "slots"
         finally:
             manager.shutdown()
 
@@ -132,8 +132,7 @@ class TestSimulateDifferential:
         )
         assert default.artifact_text == slots.artifact_text
         assert slots.artifact_text == reference.artifact_text
-        expected_engine = "batch" if numpy_available() else "slots"
-        assert default.payload["engine"] == expected_engine
+        assert default.payload["engine"] == "slots"
         assert slots.payload["engine"] == "slots"
         assert reference.payload["engine"] == "reference"
 
@@ -145,7 +144,11 @@ class TestSimulateDifferential:
         ]
         options = {"steps": 10, "stimuli": stimuli}
         batched = execute(
-            JobSpec(kind="simulate", demo="didactic", options=dict(options))
+            JobSpec(
+                kind="simulate",
+                demo="didactic",
+                options={**options, "engine": "batch"},
+            )
         )
         looped = execute(
             JobSpec(
@@ -157,3 +160,17 @@ class TestSimulateDifferential:
         assert batched.payload["engine"] == "batch"
         assert looped.payload["engine"] == "slots"
         assert batched.artifact_text == looped.artifact_text
+
+    @pytest.mark.skipif(not numpy_available(), reason="requires NumPy")
+    @pytest.mark.parametrize("episodes", [2, BATCH_THRESHOLD])
+    def test_unpinned_job_batches_by_size_alone(self, episodes):
+        """Without an ``engine`` option, run_many's size rule decides."""
+        spec = JobSpec(
+            kind="simulate",
+            demo="didactic",
+            options={"steps": 5, "stimuli": [{}] * episodes},
+        )
+        with obs.use(obs.Recorder()) as recorder:
+            execute(spec)
+        (span,) = [s for s in recorder.spans if s.name == "simulink.run_many"]
+        assert span.attrs["batched"] is (episodes >= BATCH_THRESHOLD)

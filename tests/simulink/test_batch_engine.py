@@ -317,13 +317,20 @@ class TestObservability:
             Simulator(_stateful_model(), engine=ENGINE_BATCH).run_many(
                 4, [None, None, None]
             )
+        # One batch is counted once, under the simulator's names; the
+        # batch engine's block census rides on the run_many span.
         metrics = recorder.metrics
-        assert metrics.counter("sim.batch.runs") == 1
-        assert metrics.counter("sim.batch.episodes") == 3
-        assert metrics.counter("sim.batch.steps") == 12
-        assert metrics.gauge_value("sim.batch.steps_per_sec") > 0
-        assert metrics.gauge_value("sim.batch.vectorized_blocks") > 0
-        assert "sim.batch.run" in [span.name for span in recorder.spans]
+        assert metrics.counter("simulink.sim.batches") == 1
+        assert metrics.counter("simulink.sim.runs") == 3
+        assert metrics.counter("simulink.sim.steps") == 12
+        assert metrics.gauge_value("simulink.sim.steps_per_sec") > 0
+        (span,) = [s for s in recorder.spans if s.name == "simulink.run_many"]
+        assert span.attrs["vectorized_blocks"] > 0
+        assert span.attrs["generic_blocks"] == 0
+        snapshot = metrics.to_dict()
+        names = [s.name for s in recorder.spans]
+        names += list(snapshot["counters"]) + list(snapshot["gauges"])
+        assert not [name for name in names if name.startswith("sim.batch")]
 
     def test_run_many_span_flags_batched_dispatch(self):
         recorder = obs.Recorder()

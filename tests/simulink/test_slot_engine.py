@@ -231,6 +231,32 @@ class TestRunMany:
         first, second = simulator.run_many(2, [None, None])
         assert first.output("Out1") == second.output("Out1") == [1.0, 2.0]
 
+    @pytest.mark.parametrize("engine", [ENGINE_SLOTS, ENGINE_REFERENCE])
+    def test_reset_fills_only_the_running_engines_state(
+        self, engine, monkeypatch
+    ):
+        from repro.simulink import simulator as simulator_module
+
+        simulator = Simulator(_accumulator_model(), engine=engine)
+        simulator.run(2)
+        calls = []
+        original = simulator_module._initial_state
+
+        def counting(block):
+            calls.append(block.name)
+            return original(block)
+
+        monkeypatch.setattr(simulator_module, "_initial_state", counting)
+        simulator.reset()
+        if engine == ENGINE_SLOTS:
+            # One initial state per stateful slot; the reference dict
+            # stays empty because nothing reads it.
+            assert len(calls) == len(simulator._sp_state_index)
+            assert simulator._state == {}
+        else:
+            assert sorted(calls) == sorted(b.name for b in simulator._blocks)
+        assert simulator.run(2).output("Out1") == [1.0, 2.0]
+
 
 class TestCompileCensus:
     def test_specialized_and_generic_counts(self):

@@ -46,6 +46,12 @@ SYNTHESIS_TIMER_KEYS = (
 #: Counter key prefixes a synthesize run must produce.
 SYNTHESIS_COUNTER_PREFIXES = ("mapping.rule.", "optimize.channels.")
 
+#: Counters that mark a synthesis served from the cache (memory / disk).
+CACHE_HIT_COUNTERS = ("cache.synthesize.hit", "cache.synthesize.hit_disk")
+
+#: Timer keys a cache-hit synthesize run must produce: the lookup alone.
+CACHE_HIT_TIMER_KEYS = ("flow.cache",)
+
 #: Risk levels an SLO record may carry, in increasing severity.
 SLO_RISKS = ("ok", "warn", "breach")
 
@@ -141,7 +147,10 @@ def validate_metrics(document: Dict[str, Any], *, synthesis: bool = True) -> Non
     """Raise ``ValueError`` unless ``document`` is a metrics snapshot.
 
     With ``synthesis`` (the default) also require the documented keys a
-    ``repro synthesize`` run must emit.
+    ``repro synthesize`` run must emit.  A run served from the synthesis
+    cache (a ``cache.synthesize.hit`` / ``.hit_disk`` counter) never runs
+    the flow: it must carry the ``flow.cache`` timer instead, and the
+    flow's keys are required only if the snapshot also records a miss.
     """
     for section in ("counters", "gauges", "timers"):
         if not isinstance(document.get(section), dict):
@@ -152,6 +161,13 @@ def validate_metrics(document: Dict[str, Any], *, synthesis: bool = True) -> Non
                 raise ValueError(f"timer {name!r} lacks {field!r}")
     if not synthesis:
         return
+    counters = document["counters"]
+    if any(counters.get(name) for name in CACHE_HIT_COUNTERS):
+        for key in CACHE_HIT_TIMER_KEYS:
+            if key not in document["timers"]:
+                raise ValueError(f"missing documented cache-hit timer {key!r}")
+        if not counters.get("cache.synthesize.miss"):
+            return
     for key in SYNTHESIS_TIMER_KEYS:
         if key not in document["timers"]:
             raise ValueError(f"missing documented timer {key!r}")
